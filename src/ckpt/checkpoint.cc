@@ -426,7 +426,7 @@ Status LoadModel(nn::ParamStore* store, const std::string& path,
                  const std::string& expected_fingerprint) {
   const uint32_t version = PeekCheckpointVersion(path);
   if (version == 1) {
-    // Legacy stream from nn::SaveCheckpoint — still loadable, read-only.
+    // Legacy v1 stream — still loadable, read-only.
     obs::TraceSpan span("ckpt.load");
     return nn::LoadCheckpoint(store, path);
   }

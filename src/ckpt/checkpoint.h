@@ -69,9 +69,9 @@ Status SaveModel(const nn::ParamStore& store, const std::string& path,
                  const std::string& fingerprint = "");
 
 /// Loads a model checkpoint into `store`, staging and validating everything
-/// before the commit. Reads both v2 files and legacy v1 nn::SaveCheckpoint
-/// files (read-only compatibility); `expected_fingerprint` is checked for
-/// v2 files when non-empty (v1 files carry none).
+/// before the commit. Reads both v2 files and legacy v1 files (read-only
+/// compatibility via nn::LoadCheckpoint); `expected_fingerprint` is checked
+/// for v2 files when non-empty (v1 files carry none).
 Status LoadModel(nn::ParamStore* store, const std::string& path,
                  const std::string& expected_fingerprint = "");
 

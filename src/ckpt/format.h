@@ -51,9 +51,9 @@ Status WriteCheckpointFile(const std::string& path,
 Status ReadCheckpointFile(const std::string& path,
                           std::vector<Section>* sections);
 
-/// Format version of the file at `path` (1 = legacy nn::SaveCheckpoint
-/// stream, 2 = sectioned format above) or 0 when the file is missing,
-/// unreadable, or does not start with the TURL magic.
+/// Format version of the file at `path` (1 = legacy stream read by
+/// nn::LoadCheckpoint, 2 = sectioned format above) or 0 when the file is
+/// missing, unreadable, or does not start with the TURL magic.
 uint32_t PeekCheckpointVersion(const std::string& path);
 
 /// Writes a small pointer file (e.g. `LATEST`) with the same tmp + fsync +

@@ -13,20 +13,6 @@ constexpr uint32_t kMagic = 0x5455524Cu;  // "TURL"
 constexpr uint32_t kVersion = 1;
 }  // namespace
 
-Status SaveCheckpoint(const ParamStore& store, const std::string& path) {
-  BinaryWriter w(path);
-  w.WriteU32(kMagic);
-  w.WriteU32(kVersion);
-  w.WriteU64(store.params().size());
-  for (const auto& [name, t] : store.params()) {
-    w.WriteString(name);
-    w.WriteU64(t.shape().size());
-    for (int64_t d : t.shape()) w.WriteI64(d);
-    w.WriteFloatVector(t.ToVector());
-  }
-  return w.Close();
-}
-
 Status LoadCheckpoint(ParamStore* store, const std::string& path) {
   BinaryReader r(path);
   if (!r.status().ok()) return r.status();

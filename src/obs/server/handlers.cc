@@ -13,6 +13,7 @@
 #include "obs/slo.h"
 #include "obs/trace.h"
 #include "util/logging.h"
+#include "util/string_util.h"
 
 namespace turl {
 namespace obs {
@@ -377,9 +378,8 @@ ObsServer* StartFromEnv() {
   static ObsServer* const server = []() -> ObsServer* {
     const char* v = std::getenv("TURL_OBS_PORT");
     if (v == nullptr || *v == '\0') return nullptr;
-    char* end = nullptr;
-    const long port = std::strtol(v, &end, 10);
-    if (end == v || *end != '\0' || port < 0 || port > 65535) {
+    long port = 0;
+    if (!ParseIntInRange(v, 0, 65535, &port)) {
       TURL_LOG(Warning) << "TURL_OBS_PORT=" << v
                         << " is not a port; observability server stays off";
       return nullptr;

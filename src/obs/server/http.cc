@@ -49,6 +49,13 @@ void ParseQuery(const std::string& q, std::map<std::string, std::string>* out) {
   }
 }
 
+timeval Millis(int ms) {
+  timeval tv;
+  tv.tv_sec = ms / 1000;
+  tv.tv_usec = (ms % 1000) * 1000;
+  return tv;
+}
+
 }  // namespace
 
 const char* StatusReason(int status) {
@@ -141,30 +148,39 @@ bool WriteAll(int fd, const char* data, size_t len) {
   return true;
 }
 
-Status HttpGet(const std::string& host, int port, const std::string& target,
-               HttpClientResponse* out, int timeout_ms) {
-  const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
-  if (fd < 0) return Status::Internal("socket: " + std::string(strerror(errno)));
-
-  struct timeval tv;
-  tv.tv_sec = timeout_ms / 1000;
-  tv.tv_usec = (timeout_ms % 1000) * 1000;
+void SetRecvTimeout(int fd, int timeout_ms) {
+  const timeval tv = Millis(timeout_ms);
   ::setsockopt(fd, SOL_SOCKET, SO_RCVTIMEO, &tv, sizeof(tv));
-  ::setsockopt(fd, SOL_SOCKET, SO_SNDTIMEO, &tv, sizeof(tv));
+}
 
+Status Dial(const std::string& host, int port, int timeout_ms, int* fd) {
   sockaddr_in addr;
   std::memset(&addr, 0, sizeof(addr));
   addr.sin_family = AF_INET;
   addr.sin_port = htons(static_cast<uint16_t>(port));
   if (::inet_pton(AF_INET, host.c_str(), &addr.sin_addr) != 1) {
-    ::close(fd);
     return Status::InvalidArgument("bad host address: " + host);
   }
-  if (::connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)) != 0) {
-    const Status s = Status::IoError("connect: " + std::string(strerror(errno)));
-    ::close(fd);
-    return s;
+  const int s = ::socket(AF_INET, SOCK_STREAM, 0);
+  if (s < 0) return Status::Internal("socket: " + std::string(strerror(errno)));
+  const timeval tv = Millis(timeout_ms);
+  ::setsockopt(s, SOL_SOCKET, SO_RCVTIMEO, &tv, sizeof(tv));
+  ::setsockopt(s, SOL_SOCKET, SO_SNDTIMEO, &tv, sizeof(tv));
+  if (::connect(s, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)) != 0) {
+    const Status status = Status::IoError("connect " + host + ":" +
+                                          std::to_string(port) + ": " +
+                                          strerror(errno));
+    ::close(s);
+    return status;
   }
+  *fd = s;
+  return Status::OK();
+}
+
+Status HttpGet(const std::string& host, int port, const std::string& target,
+               HttpClientResponse* out, int timeout_ms) {
+  int fd = -1;
+  if (Status s = Dial(host, port, timeout_ms, &fd); !s.ok()) return s;
 
   const std::string request = "GET " + target +
                               " HTTP/1.0\r\nHost: " + host +

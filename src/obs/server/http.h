@@ -59,6 +59,15 @@ bool ReadRequestHead(int fd, std::string* head, size_t max_bytes = 8192);
 /// suppressed (a peer that hung up surfaces as `false`, not a signal).
 bool WriteAll(int fd, const char* data, size_t len);
 
+/// Sets SO_RCVTIMEO: a blocking read on `fd` fails after `timeout_ms`.
+void SetRecvTimeout(int fd, int timeout_ms);
+
+/// Opens a blocking TCP connection to host:port (dotted-quad host, e.g.
+/// "127.0.0.1") and stores the connected socket in `*fd`. The timeout is
+/// set as SO_RCVTIMEO and SO_SNDTIMEO, so it bounds the connect and every
+/// later read and write. `*fd` is untouched on failure.
+Status Dial(const std::string& host, int port, int timeout_ms, int* fd);
+
 /// Client-side response, for tests and the scrape bench.
 struct HttpClientResponse {
   int status = 0;

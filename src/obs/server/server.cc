@@ -1,15 +1,8 @@
 #include "obs/server/server.h"
 
-#include <arpa/inet.h>
-#include <netinet/in.h>
-#include <poll.h>
 #include <sys/socket.h>
-#include <sys/time.h>
-#include <unistd.h>
 
-#include <cerrno>
 #include <chrono>
-#include <cstring>
 
 #include "obs/metrics.h"
 #include "util/logging.h"
@@ -42,17 +35,22 @@ Histogram* HandleHistogram() {
   return h;
 }
 
-}  // namespace
-
-ObsServer::ObsServer() : ObsServer(Options()) {}
-
-ObsServer::ObsServer(Options options) : options_(std::move(options)) {
-  TURL_CHECK_GE(options_.port, 0);
-  TURL_CHECK_GT(options_.num_workers, 0);
-  TURL_CHECK_GT(options_.max_queued, 0);
+/// The core's shed writer: an immediate 503 for a connection refused
+/// because the queue is full.
+void WriteShed(int fd) {
+  ShedCounter()->Inc();
+  HttpResponse resp;
+  resp.status = 503;
+  resp.body = "overloaded: connection queue full\n";
+  const std::string wire = SerializeResponse(resp);
+  WriteAll(fd, wire.data(), wire.size());
 }
 
-ObsServer::~ObsServer() { Stop(); }
+}  // namespace
+
+ObsServer::ObsServer(Options options)
+    : core_(std::move(options), [this](int fd) { ServeConnection(fd); },
+            WriteShed) {}
 
 void ObsServer::Handle(const std::string& path, Handler handler) {
   TURL_CHECK(!running()) << "Handle() after Start()";
@@ -60,7 +58,7 @@ void ObsServer::Handle(const std::string& path, Handler handler) {
 }
 
 std::string ObsServer::base_url() const {
-  return "http://127.0.0.1:" + std::to_string(port_);
+  return "http://127.0.0.1:" + std::to_string(port());
 }
 
 std::vector<std::string> ObsServer::paths() const {
@@ -70,195 +68,7 @@ std::vector<std::string> ObsServer::paths() const {
   return out;
 }
 
-Status ObsServer::Start() {
-  if (running()) return Status::FailedPrecondition("server already running");
-
-  const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
-  if (fd < 0) {
-    return Status::Internal("socket: " + std::string(strerror(errno)));
-  }
-  const int one = 1;
-  ::setsockopt(fd, SOL_SOCKET, SO_REUSEADDR, &one, sizeof(one));
-
-  sockaddr_in addr;
-  std::memset(&addr, 0, sizeof(addr));
-  addr.sin_family = AF_INET;
-  addr.sin_port = htons(static_cast<uint16_t>(options_.port));
-  if (::inet_pton(AF_INET, options_.bind_address.c_str(), &addr.sin_addr) !=
-      1) {
-    ::close(fd);
-    return Status::InvalidArgument("bad bind address: " +
-                                   options_.bind_address);
-  }
-  if (::bind(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)) != 0) {
-    const Status s = Status::IoError("bind " + options_.bind_address + ":" +
-                                     std::to_string(options_.port) + ": " +
-                                     strerror(errno));
-    ::close(fd);
-    return s;
-  }
-  if (::listen(fd, 64) != 0) {
-    const Status s = Status::IoError("listen: " + std::string(strerror(errno)));
-    ::close(fd);
-    return s;
-  }
-  // Resolve port 0 to the kernel-assigned ephemeral port.
-  sockaddr_in bound;
-  socklen_t len = sizeof(bound);
-  if (::getsockname(fd, reinterpret_cast<sockaddr*>(&bound), &len) != 0) {
-    const Status s =
-        Status::IoError("getsockname: " + std::string(strerror(errno)));
-    ::close(fd);
-    return s;
-  }
-  listen_fd_ = fd;
-  port_ = ntohs(bound.sin_port);
-
-  stopping_.store(false, std::memory_order_release);
-  hard_stop_.store(false, std::memory_order_release);
-  exited_workers_ = 0;
-  pending_.clear();
-  in_flight_.assign(static_cast<size_t>(options_.num_workers), -1);
-  running_.store(true, std::memory_order_release);
-
-  accept_thread_ = std::thread([this] { AcceptLoop(); });
-  workers_.reserve(static_cast<size_t>(options_.num_workers));
-  for (int i = 0; i < options_.num_workers; ++i) {
-    workers_.emplace_back([this, i] { WorkerLoop(i); });
-  }
-  return Status::OK();
-}
-
-void ObsServer::Stop() {
-  if (!running_.exchange(false, std::memory_order_acq_rel)) return;
-
-  // 1. Stop accepting. The accept thread polls stopping_ every 100ms.
-  stopping_.store(true, std::memory_order_release);
-  accept_thread_.join();
-  ::close(listen_fd_);
-  listen_fd_ = -1;
-
-  // 2. Graceful drain: workers finish the queue, then exit their loops.
-  work_cv_.notify_all();
-  bool drained;
-  {
-    std::unique_lock<std::mutex> lock(mu_);
-    drained = drained_cv_.wait_for(
-        lock, std::chrono::milliseconds(options_.drain_deadline_ms),
-        [this] { return exited_workers_ == static_cast<int>(workers_.size()); });
-  }
-
-  // 3. Hard deadline: shut down in-flight sockets so blocked reads/writes
-  // fail immediately, and tell workers to close the rest unserved.
-  if (!drained) {
-    hard_stop_.store(true, std::memory_order_release);
-    {
-      std::lock_guard<std::mutex> lock(conn_mu_);
-      for (int fd : in_flight_) {
-        if (fd >= 0) ::shutdown(fd, SHUT_RDWR);
-      }
-    }
-    work_cv_.notify_all();
-  }
-  for (std::thread& w : workers_) w.join();
-  workers_.clear();
-
-  // Anything still queued was never handed to a worker.
-  for (int fd : pending_) ::close(fd);
-  pending_.clear();
-}
-
-void ObsServer::AcceptLoop() {
-  for (;;) {
-    if (stopping_.load(std::memory_order_acquire)) return;
-    struct pollfd pfd;
-    pfd.fd = listen_fd_;
-    pfd.events = POLLIN;
-    pfd.revents = 0;
-    const int r = ::poll(&pfd, 1, /*timeout_ms=*/100);
-    if (r <= 0) continue;  // Timeout or EINTR — re-check stopping_.
-    const int fd = ::accept(listen_fd_, nullptr, nullptr);
-    if (fd < 0) continue;
-
-    bool shed = false;
-    {
-      std::lock_guard<std::mutex> lock(mu_);
-      if (static_cast<int>(pending_.size()) >= options_.max_queued) {
-        shed = true;
-      } else {
-        pending_.push_back(fd);
-      }
-    }
-    if (shed) {
-      // Backpressure: answer 503 right here rather than queue unboundedly —
-      // a slow consumer must not grow server memory.
-      ShedCounter()->Inc();
-      HttpResponse resp;
-      resp.status = 503;
-      resp.body = "overloaded: connection queue full\n";
-      const std::string wire = SerializeResponse(resp);
-      WriteAll(fd, wire.data(), wire.size());
-      // Half-close, then drain the request the client is mid-send on:
-      // closing with unread bytes in the socket RSTs the connection, which
-      // can destroy the 503 before the client reads it. Drain is bounded
-      // (bytes and time) so a hostile peer cannot pin the accept thread.
-      ::shutdown(fd, SHUT_WR);
-      struct timeval tv;
-      tv.tv_sec = 0;
-      tv.tv_usec = 500 * 1000;
-      ::setsockopt(fd, SOL_SOCKET, SO_RCVTIMEO, &tv, sizeof(tv));
-      char drain[1024];
-      for (int i = 0; i < 64 && ::recv(fd, drain, sizeof(drain), 0) > 0; ++i) {
-      }
-      ::close(fd);
-    } else {
-      work_cv_.notify_one();
-    }
-  }
-}
-
-void ObsServer::WorkerLoop(int worker_index) {
-  for (;;) {
-    int fd = -1;
-    {
-      std::unique_lock<std::mutex> lock(mu_);
-      work_cv_.wait(lock, [this] {
-        return stopping_.load(std::memory_order_acquire) || !pending_.empty();
-      });
-      if (pending_.empty()) break;  // Stopping and fully drained.
-      fd = pending_.front();
-      pending_.pop_front();
-    }
-    if (hard_stop_.load(std::memory_order_acquire)) {
-      ::close(fd);  // Deadline lapsed: close unserved.
-      continue;
-    }
-    {
-      std::lock_guard<std::mutex> lock(conn_mu_);
-      in_flight_[static_cast<size_t>(worker_index)] = fd;
-    }
-    ServeConnection(fd);
-    {
-      // Clear the slot before close() so the hard-deadline shutdown() can
-      // never hit a recycled fd.
-      std::lock_guard<std::mutex> lock(conn_mu_);
-      in_flight_[static_cast<size_t>(worker_index)] = -1;
-    }
-    ::close(fd);
-  }
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    ++exited_workers_;
-  }
-  drained_cv_.notify_all();
-}
-
 void ObsServer::ServeConnection(int fd) {
-  struct timeval tv;
-  tv.tv_sec = options_.read_timeout_ms / 1000;
-  tv.tv_usec = (options_.read_timeout_ms % 1000) * 1000;
-  ::setsockopt(fd, SOL_SOCKET, SO_RCVTIMEO, &tv, sizeof(tv));
-
   std::string head;
   if (!ReadRequestHead(fd, &head)) {
     BadRequestCounter()->Inc();
@@ -284,7 +94,7 @@ void ObsServer::ServeConnection(int fd) {
   std::string wire = SerializeResponse(response);
   if (head_only) wire.resize(wire.find("\r\n\r\n") + 4);
   WriteAll(fd, wire.data(), wire.size());
-  ::shutdown(fd, SHUT_WR);  // Flush then signal EOF; caller closes.
+  ::shutdown(fd, SHUT_WR);  // Flush then signal EOF; the core closes.
 }
 
 HttpResponse ObsServer::Dispatch(const HttpRequest& request) const {

@@ -1,16 +1,12 @@
 #ifndef TURL_OBS_SERVER_SERVER_H_
 #define TURL_OBS_SERVER_SERVER_H_
 
-#include <atomic>
-#include <condition_variable>
-#include <deque>
 #include <functional>
 #include <map>
-#include <mutex>
 #include <string>
-#include <thread>
 #include <vector>
 
+#include "obs/server/connection_server.h"
 #include "obs/server/http.h"
 #include "util/status.h"
 
@@ -22,46 +18,19 @@ namespace server {
 /// POSIX sockets that exposes the in-process metrics/trace/profile state of
 /// a running job (see handlers.h for the standard endpoint set).
 ///
-/// Threading model: one accept thread (blocking accept via a 100ms poll loop
-/// so Stop() is prompt) feeds a bounded queue of accepted connections
-/// drained by a fixed pool of worker threads — one request per connection,
-/// Connection: close. When the queue is full the accept thread sheds the
-/// connection with an immediate 503 instead of queueing unboundedly
-/// (backpressure; counted as `obs.server.shed`).
-///
-/// Shutdown semantics: Stop() first stops accepting, then lets workers drain
-/// every queued and in-flight response gracefully; connections still open
-/// after `drain_deadline_ms` are forcibly shut down so Stop() has a hard
-/// upper bound. Stop() is idempotent and also runs from the destructor.
+/// The socket lifecycle — accept thread, bounded connection queue, worker
+/// pool, three-step Stop() — is ConnectionServer's (see its class comment).
+/// This class adds one request per connection, Connection: close, and sheds
+/// a full queue with an immediate 503 (counted as `obs.server.shed`).
 ///
 /// Handlers run on worker threads, so anything they touch must be
 /// thread-safe (the metrics registry, tracer and profiler all are).
 class ObsServer {
  public:
-  struct Options {
-    /// TCP port; 0 binds an ephemeral port (read it back via port()).
-    int port = 0;
-    /// Bind address. The plane serves process-internal state, so it binds
-    /// loopback by default; widen deliberately.
-    std::string bind_address = "127.0.0.1";
-    /// Worker threads serving accepted connections.
-    int num_workers = 2;
-    /// Accepted-but-unserved connections held at once; beyond this the
-    /// accept thread sheds with 503.
-    int max_queued = 16;
-    /// SO_RCVTIMEO while reading a request head; a client that connects and
-    /// goes silent cannot pin a worker past this.
-    int read_timeout_ms = 2000;
-    /// Stop(): grace period for in-flight/queued responses before their
-    /// sockets are forcibly shut down.
-    int drain_deadline_ms = 2000;
-  };
-
+  using Options = ConnectionServer::Options;
   using Handler = std::function<HttpResponse(const HttpRequest&)>;
 
-  ObsServer();  // Default options (the Options() defaults above).
-  explicit ObsServer(Options options);
-  ~ObsServer();
+  explicit ObsServer(Options options = Options());
 
   ObsServer(const ObsServer&) = delete;
   ObsServer& operator=(const ObsServer&) = delete;
@@ -71,17 +40,18 @@ class ObsServer {
   void Handle(const std::string& path, Handler handler);
 
   /// Binds, listens and spawns the accept + worker threads. Fails (without
-  /// leaking) if the address cannot be bound or the server already runs.
-  Status Start();
+  /// leaking) if the port is outside [0, 65535], the address cannot be
+  /// bound, or the server already runs.
+  Status Start() { return core_.Start(); }
 
-  /// Graceful drain then hard-deadline shutdown (see class comment).
+  /// Graceful drain then hard-deadline shutdown (see ConnectionServer).
   /// Safe to call twice; Start() works again afterwards.
-  void Stop();
+  void Stop() { core_.Stop(); }
 
-  bool running() const { return running_.load(std::memory_order_acquire); }
+  bool running() const { return core_.running(); }
   /// The bound port (resolves port 0 to the kernel-assigned one). 0 before
   /// the first successful Start().
-  int port() const { return port_; }
+  int port() const { return core_.port(); }
   /// "http://127.0.0.1:<port>" convenience for logs and tests.
   std::string base_url() const;
 
@@ -89,35 +59,12 @@ class ObsServer {
   std::vector<std::string> paths() const;
 
  private:
-  void AcceptLoop();
-  void WorkerLoop(int worker_index);
   void ServeConnection(int fd);
   HttpResponse Dispatch(const HttpRequest& request) const;
 
-  Options options_;
   std::map<std::string, Handler> handlers_;
-
-  int listen_fd_ = -1;
-  int port_ = 0;
-  std::atomic<bool> running_{false};
-  std::atomic<bool> stopping_{false};
-  /// Set when the drain deadline lapsed: workers close queued connections
-  /// unserved instead of answering them.
-  std::atomic<bool> hard_stop_{false};
-
-  std::thread accept_thread_;
-  std::vector<std::thread> workers_;
-
-  mutable std::mutex mu_;
-  std::condition_variable work_cv_;    ///< Queue non-empty or stopping.
-  std::condition_variable drained_cv_; ///< A worker exited its loop.
-  std::deque<int> pending_;            ///< Accepted fds awaiting a worker.
-  int exited_workers_ = 0;
-
-  /// fd each worker currently serves (-1 idle); guarded by conn_mu_ so the
-  /// hard-deadline path can shutdown() an fd without racing its close().
-  std::mutex conn_mu_;
-  std::vector<int> in_flight_;
+  /// Declared last: its destructor stops the workers that read handlers_.
+  ConnectionServer core_;
 };
 
 }  // namespace server

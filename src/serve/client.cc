@@ -1,13 +1,7 @@
 #include "serve/client.h"
 
-#include <arpa/inet.h>
-#include <netinet/in.h>
-#include <sys/socket.h>
-#include <sys/time.h>
 #include <unistd.h>
 
-#include <cerrno>
-#include <cstring>
 #include <vector>
 
 #include "obs/server/http.h"
@@ -27,33 +21,7 @@ void ServeClient::Close() {
 Status ServeClient::Connect(const std::string& host, int port,
                             int timeout_ms) {
   Close();
-  const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
-  if (fd < 0) {
-    return Status::Internal("socket: " + std::string(strerror(errno)));
-  }
-  struct timeval tv;
-  tv.tv_sec = timeout_ms / 1000;
-  tv.tv_usec = (timeout_ms % 1000) * 1000;
-  ::setsockopt(fd, SOL_SOCKET, SO_RCVTIMEO, &tv, sizeof(tv));
-  ::setsockopt(fd, SOL_SOCKET, SO_SNDTIMEO, &tv, sizeof(tv));
-
-  sockaddr_in addr;
-  std::memset(&addr, 0, sizeof(addr));
-  addr.sin_family = AF_INET;
-  addr.sin_port = htons(static_cast<uint16_t>(port));
-  if (::inet_pton(AF_INET, host.c_str(), &addr.sin_addr) != 1) {
-    ::close(fd);
-    return Status::InvalidArgument("bad host: " + host);
-  }
-  if (::connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)) != 0) {
-    const Status s = Status::IoError("connect " + host + ":" +
-                                     std::to_string(port) + ": " +
-                                     strerror(errno));
-    ::close(fd);
-    return s;
-  }
-  fd_ = fd;
-  return Status::OK();
+  return obs::server::Dial(host, port, timeout_ms, &fd_);
 }
 
 Status ServeClient::SendRaw(const std::string& bytes) {

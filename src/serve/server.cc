@@ -1,17 +1,12 @@
 #include "serve/server.h"
 
-#include <arpa/inet.h>
-#include <netinet/in.h>
 #include <poll.h>
-#include <sys/socket.h>
-#include <sys/time.h>
-#include <unistd.h>
 
 #include <cerrno>
 #include <chrono>
 #include <cstdlib>
-#include <cstring>
 #include <future>
+#include <limits>
 
 #include "obs/eventlog.h"
 #include "obs/metrics.h"
@@ -19,6 +14,7 @@
 #include "obs/slo.h"
 #include "obs/trace.h"
 #include "util/logging.h"
+#include "util/string_util.h"
 
 namespace turl {
 namespace serve {
@@ -68,30 +64,62 @@ obs::Histogram* LatencyHistogram(rt::TaskKind task) {
       std::string("serve.latency_ms.") + rt::TaskKindName(task));
 }
 
-int EnvInt(const char* name, int fallback) {
+/// TURL_* integer knob: `fallback` when unset or empty; a value that is not
+/// a whole integer in [min_value, max_value] logs a warning and keeps it.
+int EnvInt(const char* name, int fallback, int min_value, int max_value) {
   const char* value = std::getenv(name);
   if (value == nullptr || *value == '\0') return fallback;
-  return std::atoi(value);
+  long parsed = 0;
+  if (!ParseIntInRange(value, min_value, max_value, &parsed)) {
+    TURL_LOG(Warning) << name << "=" << value << " is not an integer in ["
+                      << min_value << ", " << max_value << "]; using "
+                      << fallback;
+    return fallback;
+  }
+  return static_cast<int>(parsed);
+}
+
+obs::server::ConnectionServer::Options CoreOptions(const ServeOptions& o) {
+  obs::server::ConnectionServer::Options core;
+  core.port = o.port;
+  core.bind_address = o.bind_address;
+  core.num_workers = o.num_io_workers;
+  core.max_queued = o.max_queued_connections;
+  core.read_timeout_ms = o.read_timeout_ms;
+  core.drain_deadline_ms = o.drain_deadline_ms;
+  return core;
+}
+
+/// The core's shed writer: an OVERLOADED frame for a connection refused
+/// because the queue is full — the serve-protocol analogue of the obs
+/// server's 503.
+void WriteShed(int fd) {
+  AcceptedCounter()->Inc();
+  ShedCounter()->Inc();
+  WireResponse response;
+  response.status = rt::ResponseStatus::kOverloaded;
+  response.message = "overloaded: connection queue full";
+  const std::string wire = EncodeResponseFrame(response);
+  obs::server::WriteAll(fd, wire.data(), wire.size());
 }
 
 }  // namespace
 
 ServeOptions ServeServer::OptionsFromEnv() {
   ServeOptions options;
-  options.port = EnvInt("TURL_SERVE_PORT", 0);
-  options.num_replicas = EnvInt("TURL_SERVE_REPLICAS", 2);
+  options.port = EnvInt("TURL_SERVE_PORT", options.port, 0, 65535);
+  options.num_replicas =
+      EnvInt("TURL_SERVE_REPLICAS", options.num_replicas, 1,
+             std::numeric_limits<int>::max());
   return options;
 }
 
 ServeServer::ServeServer(const core::TurlModel& model, ServeOptions options)
-    : model_(model), options_(std::move(options)) {
-  TURL_CHECK_GE(options_.port, 0);
-  if (options_.num_replicas <= 0) {
-    options_.num_replicas = EnvInt("TURL_SERVE_REPLICAS", 2);
-    if (options_.num_replicas <= 0) options_.num_replicas = 2;
-  }
-  TURL_CHECK_GT(options_.num_io_workers, 0);
-  TURL_CHECK_GT(options_.max_queued_connections, 0);
+    : model_(model),
+      options_(std::move(options)),
+      core_(CoreOptions(options_), [this](int fd) { ServeConnection(fd); },
+            WriteShed) {
+  TURL_CHECK_GT(options_.num_replicas, 0);
   TURL_CHECK_GE(options_.max_inflight_requests, 0);
   TURL_CHECK_GT(options_.pump_interval_ms, 0);
 }
@@ -100,46 +128,6 @@ ServeServer::~ServeServer() { Stop(); }
 
 Status ServeServer::Start() {
   if (running()) return Status::FailedPrecondition("server already running");
-
-  const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
-  if (fd < 0) {
-    return Status::Internal("socket: " + std::string(strerror(errno)));
-  }
-  const int one = 1;
-  ::setsockopt(fd, SOL_SOCKET, SO_REUSEADDR, &one, sizeof(one));
-
-  sockaddr_in addr;
-  std::memset(&addr, 0, sizeof(addr));
-  addr.sin_family = AF_INET;
-  addr.sin_port = htons(static_cast<uint16_t>(options_.port));
-  if (::inet_pton(AF_INET, options_.bind_address.c_str(), &addr.sin_addr) !=
-      1) {
-    ::close(fd);
-    return Status::InvalidArgument("bad bind address: " +
-                                   options_.bind_address);
-  }
-  if (::bind(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)) != 0) {
-    const Status s = Status::IoError("bind " + options_.bind_address + ":" +
-                                     std::to_string(options_.port) + ": " +
-                                     strerror(errno));
-    ::close(fd);
-    return s;
-  }
-  if (::listen(fd, 64) != 0) {
-    const Status s = Status::IoError("listen: " + std::string(strerror(errno)));
-    ::close(fd);
-    return s;
-  }
-  sockaddr_in bound;
-  socklen_t len = sizeof(bound);
-  if (::getsockname(fd, reinterpret_cast<sockaddr*>(&bound), &len) != 0) {
-    const Status s =
-        Status::IoError("getsockname: " + std::string(strerror(errno)));
-    ::close(fd);
-    return s;
-  }
-  listen_fd_ = fd;
-  port_ = ntohs(bound.sin_port);
 
   // Warm the replicas before the listener goes live: session construction
   // builds each replica's thread pool and scratch arenas, so the first
@@ -153,33 +141,23 @@ Status ServeServer::Start() {
         replica->session.get(), options_.batch);
     replicas_.push_back(std::move(replica));
   }
-
-  stopping_.store(false, std::memory_order_release);
-  hard_stop_.store(false, std::memory_order_release);
-  pump_stop_.store(false, std::memory_order_release);
-  exited_workers_ = 0;
-  pending_.clear();
-  in_flight_fds_.assign(static_cast<size_t>(options_.num_io_workers), -1);
   inflight_.store(0, std::memory_order_relaxed);
   InflightGauge()->Set(0.0);
-  running_.store(true, std::memory_order_release);
 
-  accept_thread_ = std::thread([this] { AcceptLoop(); });
-  pump_thread_ = std::thread([this] { PumpLoop(); });
-  workers_.reserve(static_cast<size_t>(options_.num_io_workers));
-  for (int i = 0; i < options_.num_io_workers; ++i) {
-    workers_.emplace_back([this, i] { WorkerLoop(i); });
+  if (const Status s = core_.Start(); !s.ok()) {
+    replicas_.clear();
+    return s;
   }
+  pump_stop_.store(false, std::memory_order_release);
+  pump_thread_ = std::thread([this] { PumpLoop(); });
 
   // Readiness flips on only now: listener bound, replicas warm, threads up.
   readiness_.emplace(
       "serve.listener", [this](std::string* detail) {
-        const bool ready = running_.load(std::memory_order_acquire) &&
-                           !stopping_.load(std::memory_order_acquire);
-        *detail = "port=" + std::to_string(port_) +
+        *detail = "port=" + std::to_string(port()) +
                   " replicas=" + std::to_string(replicas_.size()) +
                   " inflight=" + std::to_string(inflight());
-        return ready;
+        return running();
       });
 
   // SLO targets live in the global watchdog for this Start/Stop cycle; each
@@ -207,7 +185,7 @@ Status ServeServer::Start() {
 }
 
 void ServeServer::Stop() {
-  if (!running_.exchange(false, std::memory_order_acq_rel)) return;
+  if (!running()) return;
 
   // /healthz goes not-ready before the listener dies, so an orchestrator
   // probing readiness stops routing before connections start failing.
@@ -215,43 +193,10 @@ void ServeServer::Stop() {
   for (int id : slo_target_ids_) obs::SloWatchdog::Get().RemoveTarget(id);
   slo_target_ids_.clear();
 
-  // 1. Stop accepting. The accept thread polls stopping_ every 100ms.
-  stopping_.store(true, std::memory_order_release);
-  accept_thread_.join();
-  ::close(listen_fd_);
-  listen_fd_ = -1;
-
-  // 2. Graceful drain: workers notice stopping_ at their next idle poll,
-  // finish the frame in flight (the pump thread is still alive, so every
-  // submitted request gets its response) and exit.
-  work_cv_.notify_all();
-  bool drained;
-  {
-    std::unique_lock<std::mutex> lock(mu_);
-    drained = drained_cv_.wait_for(
-        lock, std::chrono::milliseconds(options_.drain_deadline_ms), [this] {
-          return exited_workers_ == static_cast<int>(workers_.size());
-        });
-  }
-
-  // 3. Hard deadline: shut down in-flight sockets so blocked reads/writes
-  // fail immediately, and tell workers to close the rest unserved.
-  if (!drained) {
-    hard_stop_.store(true, std::memory_order_release);
-    {
-      std::lock_guard<std::mutex> lock(conn_mu_);
-      for (int fd : in_flight_fds_) {
-        if (fd >= 0) ::shutdown(fd, SHUT_RDWR);
-      }
-    }
-    work_cv_.notify_all();
-  }
-  for (std::thread& w : workers_) w.join();
-  workers_.clear();
-
-  // Anything still queued was never handed to a worker.
-  for (int fd : pending_) ::close(fd);
-  pending_.clear();
+  // Stop accepting, drain (workers notice stopping() at their next idle
+  // poll and finish the frame in flight; the pump is still alive, so every
+  // submitted request gets its response), then the hard deadline.
+  core_.Stop();
 
   // The pump stops only after every worker is gone — a worker blocked on
   // its future needs the pump to flush that replica. Final Flush()es run in
@@ -261,93 +206,6 @@ void ServeServer::Stop() {
   replicas_.clear();
   inflight_.store(0, std::memory_order_relaxed);
   InflightGauge()->Set(0.0);
-}
-
-void ServeServer::AcceptLoop() {
-  for (;;) {
-    if (stopping_.load(std::memory_order_acquire)) return;
-    struct pollfd pfd;
-    pfd.fd = listen_fd_;
-    pfd.events = POLLIN;
-    pfd.revents = 0;
-    const int r = ::poll(&pfd, 1, /*timeout_ms=*/100);
-    if (r <= 0) continue;  // Timeout or EINTR — re-check stopping_.
-    const int fd = ::accept(listen_fd_, nullptr, nullptr);
-    if (fd < 0) continue;
-    AcceptedCounter()->Inc();
-
-    bool shed = false;
-    {
-      std::lock_guard<std::mutex> lock(mu_);
-      if (static_cast<int>(pending_.size()) >= options_.max_queued_connections) {
-        shed = true;
-      } else {
-        pending_.push_back(fd);
-      }
-    }
-    if (shed) {
-      // Backpressure at the door: answer OVERLOADED right here rather than
-      // queue unboundedly — the serve-protocol analogue of the obs server's
-      // 503 path.
-      ShedCounter()->Inc();
-      WireResponse response;
-      response.status = rt::ResponseStatus::kOverloaded;
-      response.message = "overloaded: connection queue full";
-      const std::string wire = EncodeResponseFrame(response);
-      obs::server::WriteAll(fd, wire.data(), wire.size());
-      // Half-close, then drain what the client is mid-send on: closing with
-      // unread bytes RSTs the connection, which can destroy the OVERLOADED
-      // frame before the client reads it. The drain is bounded (bytes and
-      // time) so a hostile peer cannot pin the accept thread.
-      ::shutdown(fd, SHUT_WR);
-      struct timeval tv;
-      tv.tv_sec = 0;
-      tv.tv_usec = 500 * 1000;
-      ::setsockopt(fd, SOL_SOCKET, SO_RCVTIMEO, &tv, sizeof(tv));
-      char drain[1024];
-      for (int i = 0; i < 64 && ::recv(fd, drain, sizeof(drain), 0) > 0; ++i) {
-      }
-      ::close(fd);
-    } else {
-      work_cv_.notify_one();
-    }
-  }
-}
-
-void ServeServer::WorkerLoop(int worker_index) {
-  for (;;) {
-    int fd = -1;
-    {
-      std::unique_lock<std::mutex> lock(mu_);
-      work_cv_.wait(lock, [this] {
-        return stopping_.load(std::memory_order_acquire) || !pending_.empty();
-      });
-      if (pending_.empty()) break;  // Stopping and fully drained.
-      fd = pending_.front();
-      pending_.pop_front();
-    }
-    if (hard_stop_.load(std::memory_order_acquire)) {
-      ::close(fd);  // Deadline lapsed: close unserved.
-      continue;
-    }
-    {
-      std::lock_guard<std::mutex> lock(conn_mu_);
-      in_flight_fds_[static_cast<size_t>(worker_index)] = fd;
-    }
-    ServeConnection(fd);
-    {
-      // Clear the slot before close() so the hard-deadline shutdown() can
-      // never hit a recycled fd.
-      std::lock_guard<std::mutex> lock(conn_mu_);
-      in_flight_fds_[static_cast<size_t>(worker_index)] = -1;
-    }
-    ::close(fd);
-  }
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    ++exited_workers_;
-  }
-  drained_cv_.notify_all();
 }
 
 void ServeServer::PumpLoop() {
@@ -371,16 +229,12 @@ void ServeServer::PumpLoop() {
 }
 
 void ServeServer::ServeConnection(int fd) {
-  struct timeval tv;
-  tv.tv_sec = options_.read_timeout_ms / 1000;
-  tv.tv_usec = (options_.read_timeout_ms % 1000) * 1000;
-  ::setsockopt(fd, SOL_SOCKET, SO_RCVTIMEO, &tv, sizeof(tv));
-
+  AcceptedCounter()->Inc();
   // One frame at a time until EOF, error, malformed frame, or shutdown. The
   // idle poll between frames is what bounds how long a quiet connection can
-  // delay Stop().
+  // delay Stop(); past the drain deadline the core's shutdown() makes the
+  // poll report EOF.
   for (;;) {
-    if (hard_stop_.load(std::memory_order_acquire)) return;
     struct pollfd pfd;
     pfd.fd = fd;
     pfd.events = POLLIN;
@@ -393,7 +247,7 @@ void ServeServer::ServeConnection(int fd) {
     if (r == 0) {
       // Idle tick. A connection with no frame in flight owes nothing at
       // shutdown — drop it so the drain finishes fast.
-      if (stopping_.load(std::memory_order_acquire)) return;
+      if (core_.stopping()) return;
       continue;
     }
     if (pfd.revents & (POLLERR | POLLNVAL)) return;
@@ -498,7 +352,7 @@ bool ServeServer::ServeOneFrame(int fd) {
   }
   RequestCounter()->Inc();
 
-  if (stopping_.load(std::memory_order_acquire)) {
+  if (core_.stopping()) {
     // Admitted connections finish their in-flight frame during drain, but a
     // *new* frame after Stop() began is refused — that is what makes the
     // drain converge.

@@ -2,9 +2,7 @@
 #define TURL_SERVE_SERVER_H_
 
 #include <atomic>
-#include <condition_variable>
 #include <cstdint>
-#include <deque>
 #include <memory>
 #include <mutex>
 #include <optional>
@@ -13,6 +11,7 @@
 #include <vector>
 
 #include "core/model.h"
+#include "obs/server/connection_server.h"
 #include "obs/server/handlers.h"
 #include "obs/slo.h"
 #include "rt/batch_scheduler.h"
@@ -33,8 +32,8 @@ struct ServeOptions {
   std::string bind_address = "127.0.0.1";
   /// Model replicas: each owns an InferenceSession + BatchScheduler behind
   /// its own mutex (the cuBERT BertM shape); requests go to the least
-  /// loaded. 0 resolves through $TURL_SERVE_REPLICAS, then 2.
-  int num_replicas = 0;
+  /// loaded.
+  int num_replicas = 2;
   /// IO workers; each owns one connection at a time, so this is also the
   /// concurrent-connection cap. Connections beyond workers + queue are shed.
   int num_io_workers = 8;
@@ -71,8 +70,8 @@ struct ServeOptions {
   std::vector<obs::SloTarget> slo_targets;
 };
 
-/// The serving front-end of the inference runtime: a poll()-based accept
-/// loop (the obs::server socket idioms) speaking the length-prefixed binary
+/// The serving front-end of the inference runtime: an
+/// obs::server::ConnectionServer speaking the length-prefixed binary
 /// protocol of serve/protocol.h, feeding rt::Request batches through N
 /// model replicas.
 ///
@@ -95,11 +94,11 @@ struct ServeOptions {
 /// (BatchScheduler completes expired requests unencoded), and at reply (a
 /// result that arrives too late is replaced by kDeadlineExceeded).
 ///
-/// Shutdown mirrors obs::server::Stop(): (1) stop accepting, (2) graceful
-/// drain — workers finish the frame in flight, replicas flush, every
-/// accepted request is answered — bounded by drain_deadline_ms, (3) hard
-/// deadline: remaining connection sockets are shut down. In-flight
-/// requests admitted before Stop() are completed, not dropped.
+/// Shutdown takes readiness down, then runs the core's three steps — stop
+/// accepting; graceful drain, in which workers finish the frame in flight
+/// and every admitted request is answered, bounded by drain_deadline_ms;
+/// hard deadline — and only then stops the pump and drops the replicas.
+/// In-flight requests admitted before Stop() are completed, not dropped.
 class ServeServer {
  public:
   /// The model must outlive the server. Replicas share the const model (an
@@ -110,17 +109,18 @@ class ServeServer {
   ServeServer(const ServeServer&) = delete;
   ServeServer& operator=(const ServeServer&) = delete;
 
-  /// Binds, listens, warms the replicas and spawns accept + IO + pump
-  /// threads. Fails without leaking if the address cannot be bound.
+  /// Warms the replicas, then binds, listens and spawns the accept + IO +
+  /// pump threads. Fails without leaking if the port is outside [0, 65535]
+  /// or the address cannot be bound.
   Status Start();
 
   /// Three-step graceful shutdown (see class comment). Idempotent; Start()
   /// works again afterwards.
   void Stop();
 
-  bool running() const { return running_.load(std::memory_order_acquire); }
+  bool running() const { return core_.running(); }
   /// The bound port (resolves port 0 to the kernel-assigned one).
-  int port() const { return port_; }
+  int port() const { return core_.port(); }
   int num_replicas() const { return static_cast<int>(replicas_.size()); }
 
   /// Requests currently admitted and not yet answered.
@@ -129,7 +129,8 @@ class ServeServer {
   }
 
   /// Options off the environment: TURL_SERVE_PORT (default 0 = ephemeral)
-  /// and TURL_SERVE_REPLICAS (default 2).
+  /// and TURL_SERVE_REPLICAS (default 2). A value that is not a whole
+  /// integer in range logs a warning and keeps the default.
   static ServeOptions OptionsFromEnv();
 
  private:
@@ -143,8 +144,6 @@ class ServeServer {
     std::atomic<int64_t> inflight_cost{0};
   };
 
-  void AcceptLoop();
-  void WorkerLoop(int worker_index);
   void PumpLoop();
   void ServeConnection(int fd);
   /// Reads, decodes, runs and answers one frame. False when the connection
@@ -165,29 +164,14 @@ class ServeServer {
   std::atomic<uint64_t> rr_counter_{0};
   std::atomic<int64_t> inflight_{0};
 
-  int listen_fd_ = -1;
-  int port_ = 0;
-  std::atomic<bool> running_{false};
-  std::atomic<bool> stopping_{false};
-  std::atomic<bool> hard_stop_{false};
-  /// Separate from stopping_: the pump must outlive the worker drain (a
-  /// worker blocked on its future needs the pump to flush that replica).
+  /// Separate from the core's stop: the pump must outlive the worker drain
+  /// (a worker blocked on its future needs the pump to flush that replica).
   std::atomic<bool> pump_stop_{false};
-
-  std::thread accept_thread_;
   std::thread pump_thread_;
-  std::vector<std::thread> workers_;
 
-  mutable std::mutex mu_;
-  std::condition_variable work_cv_;     ///< Queue non-empty or stopping.
-  std::condition_variable drained_cv_;  ///< A worker exited its loop.
-  std::deque<int> pending_;             ///< Accepted fds awaiting a worker.
-  int exited_workers_ = 0;
-
-  /// fd each worker currently serves (-1 idle); guarded by conn_mu_ so the
-  /// hard-deadline path can shutdown() an fd without racing its close().
-  std::mutex conn_mu_;
-  std::vector<int> in_flight_fds_;
+  /// Accept thread, connection queue and IO workers; declared after
+  /// everything ServeConnection reads.
+  obs::server::ConnectionServer core_;
 
   /// "serve.listener" in /healthz while replicas are warm and the listener
   /// accepts — a scrape can tell "process up" from "serving traffic".

@@ -2,7 +2,9 @@
 
 #include <algorithm>
 #include <cctype>
+#include <cerrno>
 #include <cstdio>
+#include <cstdlib>
 
 namespace turl {
 
@@ -106,6 +108,19 @@ std::string FormatDouble(double v, int digits) {
   char buf[64];
   std::snprintf(buf, sizeof(buf), "%.*f", digits, v);
   return buf;
+}
+
+bool ParseIntInRange(const char* s, long min_value, long max_value,
+                     long* out) {
+  char* end = nullptr;
+  errno = 0;
+  const long value = std::strtol(s, &end, 10);
+  if (end == s || *end != '\0' || errno == ERANGE || value < min_value ||
+      value > max_value) {
+    return false;
+  }
+  *out = value;
+  return true;
 }
 
 }  // namespace turl

@@ -36,6 +36,12 @@ std::string NormalizeSurface(std::string_view s);
 /// Formats a double with `digits` decimal places ("%.2f" style).
 std::string FormatDouble(double v, int digits);
 
+/// Parses all of `s` as a base-10 integer in [min_value, max_value] — the
+/// strict check for numeric TURL_* knobs. False, with `*out` untouched, on
+/// empty input, any trailing character, or an out-of-range value.
+bool ParseIntInRange(const char* s, long min_value, long max_value,
+                     long* out);
+
 }  // namespace turl
 
 #endif  // TURL_UTIL_STRING_UTIL_H_

@@ -15,10 +15,10 @@
 
 #include "ckpt/format.h"
 #include "gtest/gtest.h"
-#include "nn/checkpoint.h"
 #include "nn/ops.h"
 #include "obs/metrics.h"
 #include "util/serialize.h"
+#include "v1_checkpoint_writer.h"
 
 namespace turl {
 namespace ckpt {
@@ -313,7 +313,7 @@ TEST(ModelCheckpointTest, LoadsParamsFromFullTrainingCheckpoint) {
 TEST(ModelCheckpointTest, ReadsLegacyV1Files) {
   const std::string path = TempPath("model_v1.bin");
   Loop a(1);
-  ASSERT_TRUE(nn::SaveCheckpoint(a.store, path).ok());
+  ASSERT_TRUE(testing_util::SaveV1Checkpoint(a.store, path).ok());
   Loop b(5);
   ASSERT_TRUE(LoadModel(&b.store, path).ok());
   for (size_t i = 0; i < a.store.params().size(); ++i) {

@@ -5,6 +5,7 @@
 #include <vector>
 
 #include "gtest/gtest.h"
+#include "v1_checkpoint_writer.h"
 
 namespace turl {
 namespace nn {
@@ -41,7 +42,7 @@ TEST(CheckpointTest, RoundTripRestoresValues) {
   const std::string path = TempPath("ckpt.bin");
   ParamStore a;
   BuildStore(&a, 1);
-  ASSERT_TRUE(SaveCheckpoint(a, path).ok());
+  ASSERT_TRUE(testing_util::SaveV1Checkpoint(a, path).ok());
 
   ParamStore b;
   BuildStore(&b, 99);  // Different init values.
@@ -66,7 +67,7 @@ TEST(CheckpointTest, ParamCountMismatchFails) {
   const std::string path = TempPath("ckpt_count.bin");
   ParamStore a;
   BuildStore(&a, 1);
-  ASSERT_TRUE(SaveCheckpoint(a, path).ok());
+  ASSERT_TRUE(testing_util::SaveV1Checkpoint(a, path).ok());
   ParamStore b;
   Rng rng(2);
   b.CreateNormal("only_one", {2}, 0.1f, &rng);
@@ -78,7 +79,7 @@ TEST(CheckpointTest, ShapeMismatchFails) {
   const std::string path = TempPath("ckpt_shape.bin");
   ParamStore a;
   BuildStore(&a, 1);
-  ASSERT_TRUE(SaveCheckpoint(a, path).ok());
+  ASSERT_TRUE(testing_util::SaveV1Checkpoint(a, path).ok());
   ParamStore b;
   Rng rng(3);
   b.CreateNormal("enc.w", {4, 3}, 0.1f, &rng);  // Transposed shape.
@@ -92,7 +93,7 @@ TEST(CheckpointTest, NameMismatchFails) {
   const std::string path = TempPath("ckpt_name.bin");
   ParamStore a;
   BuildStore(&a, 1);
-  ASSERT_TRUE(SaveCheckpoint(a, path).ok());
+  ASSERT_TRUE(testing_util::SaveV1Checkpoint(a, path).ok());
   ParamStore b;
   Rng rng(4);
   b.CreateNormal("renamed.w", {3, 4}, 0.1f, &rng);
@@ -111,7 +112,7 @@ TEST(CheckpointTest, TruncatedFileLeavesStoreUntouched) {
   const std::string path = TempPath("ckpt_trunc.bin");
   ParamStore a;
   BuildStore(&a, 1);
-  ASSERT_TRUE(SaveCheckpoint(a, path).ok());
+  ASSERT_TRUE(testing_util::SaveV1Checkpoint(a, path).ok());
   // Cut the file mid-way through the last parameter: the first params parse
   // cleanly, which is exactly the case the old loader corrupted.
   std::string bytes;
@@ -137,7 +138,7 @@ TEST(CheckpointTest, ShapeMismatchLeavesStoreUntouched) {
   const std::string path = TempPath("ckpt_shape_untouched.bin");
   ParamStore a;
   BuildStore(&a, 1);
-  ASSERT_TRUE(SaveCheckpoint(a, path).ok());
+  ASSERT_TRUE(testing_util::SaveV1Checkpoint(a, path).ok());
 
   // First two params match; the third has a different shape, so the file
   // parses well past the point where the old loader started writing.
@@ -156,7 +157,7 @@ TEST(CheckpointTest, NameMismatchLeavesStoreUntouched) {
   const std::string path = TempPath("ckpt_name_untouched.bin");
   ParamStore a;
   BuildStore(&a, 1);
-  ASSERT_TRUE(SaveCheckpoint(a, path).ok());
+  ASSERT_TRUE(testing_util::SaveV1Checkpoint(a, path).ok());
 
   ParamStore b;
   Rng rng(6);
@@ -173,7 +174,7 @@ TEST(CheckpointTest, TrailingBytesLeaveStoreUntouched) {
   const std::string path = TempPath("ckpt_trailing.bin");
   ParamStore a;
   BuildStore(&a, 1);
-  ASSERT_TRUE(SaveCheckpoint(a, path).ok());
+  ASSERT_TRUE(testing_util::SaveV1Checkpoint(a, path).ok());
   {
     std::ofstream out(path, std::ios::binary | std::ios::app);
     out.write("junk", 4);

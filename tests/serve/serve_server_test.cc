@@ -6,6 +6,7 @@
 // graceful drain completing in-flight requests.
 
 #include <chrono>
+#include <cstdlib>
 #include <cstring>
 #include <string>
 #include <thread>
@@ -97,6 +98,35 @@ TEST(ServeServerTest, StartStopLifecycle) {
   ASSERT_TRUE(server.Start().ok());
   EXPECT_TRUE(server.running());
   server.Stop();
+}
+
+TEST(ServeServerTest, StartRejectsOutOfRangePort) {
+  // htons() of a 32-bit port truncates: 70000 would silently bind 4464.
+  for (int port : {70000, 65536, -1}) {
+    ServeOptions options = FastOptions();
+    options.port = port;
+    ServeServer server(Model(), options);
+    const Status s = server.Start();
+    EXPECT_EQ(s.code(), StatusCode::kInvalidArgument) << port;
+    EXPECT_FALSE(server.running()) << port;
+    EXPECT_EQ(server.num_replicas(), 0) << port;  // Nothing left warm.
+  }
+}
+
+TEST(ServeServerTest, OptionsFromEnvKeepsDefaultsForMalformedValues) {
+  ::setenv("TURL_SERVE_PORT", "8080x", 1);
+  ::setenv("TURL_SERVE_REPLICAS", "0", 1);
+  ServeOptions options = ServeServer::OptionsFromEnv();
+  EXPECT_EQ(options.port, 0);
+  EXPECT_EQ(options.num_replicas, 2);
+
+  ::setenv("TURL_SERVE_PORT", "70000", 1);
+  ::setenv("TURL_SERVE_REPLICAS", "3", 1);
+  options = ServeServer::OptionsFromEnv();
+  EXPECT_EQ(options.port, 0);
+  EXPECT_EQ(options.num_replicas, 3);
+  ::unsetenv("TURL_SERVE_PORT");
+  ::unsetenv("TURL_SERVE_REPLICAS");
 }
 
 TEST(ServeServerTest, RoundtripMatchesSessionEncode) {

@@ -85,6 +85,20 @@ std::vector<obs::WideEvent> WaitForEvents(size_t n) {
   return obs::EventLog::Get().Snapshot();
 }
 
+/// The SLI sample is recorded after the reply is written (total_us covers
+/// the write), so a client holding its reply may be a hair ahead of the
+/// engine — poll briefly until `stream` and the aggregate both show `n`.
+void WaitForSliSamples(const char* stream, int64_t n) {
+  for (int i = 0; i < 200; ++i) {
+    const obs::SliEngine& sli = obs::SliEngine::Get();
+    if (sli.Snapshot(stream, 10).total >= n &&
+        sli.Snapshot(obs::SliEngine::kAllStream, 10).total >= n) {
+      return;
+    }
+    std::this_thread::sleep_for(std::chrono::milliseconds(5));
+  }
+}
+
 bool ProbeState(const char* name, bool* ok, std::string* detail) {
   for (const auto& r : obs::server::HealthRegistry::Get().RunAll()) {
     if (r.name == name) {
@@ -139,6 +153,7 @@ TEST(ServeSloTest, OkTrafficEmitsWideEventsAndAgreesWithSliWindow) {
   }
 
   // The SLI window agrees with what the client observed: five ok outcomes.
+  WaitForSliSamples("encode", int64_t(tables.size()));
   const obs::SliSnapshot s = obs::SliEngine::Get().Snapshot("encode", 10);
   EXPECT_EQ(s.total, int64_t(tables.size()));
   EXPECT_EQ(s.ok, int64_t(tables.size()));
@@ -206,6 +221,7 @@ TEST(ServeSloTest, DeadlinePressureBurnsCustomTargetWithinOneEvaluation) {
                   .ok());
   EXPECT_EQ(response.status, rt::ResponseStatus::kDeadlineExceeded);
   client.Close();
+  WaitForSliSamples("encode", 1);
 
   // One probe evaluation — no pump-loop wait — sees the burn.
   std::string detail;

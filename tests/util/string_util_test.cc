@@ -1,5 +1,7 @@
 #include "util/string_util.h"
 
+#include <climits>
+
 #include "gtest/gtest.h"
 
 namespace turl {
@@ -95,6 +97,22 @@ TEST(FormatDoubleTest, Digits) {
   EXPECT_EQ(FormatDouble(3.14159, 2), "3.14");
   EXPECT_EQ(FormatDouble(2.0, 0), "2");
   EXPECT_EQ(FormatDouble(-0.5, 1), "-0.5");
+}
+
+TEST(ParseIntInRangeTest, AcceptsOnlyWholeIntegersInRange) {
+  long v = -7;
+  EXPECT_TRUE(ParseIntInRange("0", 0, 65535, &v));
+  EXPECT_EQ(v, 0);
+  EXPECT_TRUE(ParseIntInRange("65535", 0, 65535, &v));
+  EXPECT_EQ(v, 65535);
+  v = -7;
+  for (const char* bad : {"", "abc", "8080x", "1.5", "-1", "65536", "70000",
+                          "99999999999999999999"}) {
+    EXPECT_FALSE(ParseIntInRange(bad, 0, 65535, &v)) << bad;
+  }
+  EXPECT_EQ(v, -7);  // Untouched by every rejection.
+  // Overflow is rejected even when the range is the whole of long.
+  EXPECT_FALSE(ParseIntInRange("99999999999999999999", LONG_MIN, LONG_MAX, &v));
 }
 
 }  // namespace
