@@ -1,7 +1,7 @@
-// Self-check of the tracing cost contract (see obs/trace.h): with tracing
-// disabled, entering a span is one relaxed atomic load and a branch, so the
-// instrumentation must cost < 2% of a request's work — the bench exits
-// nonzero otherwise. The gate measures the disabled span cost directly (a
+// Self-check of the span cost contract (see obs/trace.h): with profiling
+// and tracing both off, entering a span is one relaxed atomic load and a
+// branch, so the instrumentation must cost < 2% of a request's work — the
+// bench exits nonzero otherwise. The gate measures the disabled span cost directly (a
 // tight span-only loop) relative to the per-request workload time, because
 // an A/B comparison of two ~80 ms loops is at the mercy of multi-percent
 // scheduler noise on shared machines; the A/B timing is still printed as a
@@ -64,9 +64,10 @@ double MinSeconds(F&& fn, int reps) {
   return best;
 }
 
-// Per-span cost of the instrumentation shape alone, in nanoseconds. The
-// span constructors/destructors live in another TU, so the loop cannot be
-// optimized away even though the disabled spans have no visible effect.
+// Per-span cost of the instrumentation shape alone, in nanoseconds. Each
+// span entry is an atomic load, which the compiler may not elide, so the
+// loop is not optimized away even though the disabled spans have no
+// visible effect.
 double SpanOnlyNs() {
   constexpr int kSpanIters = 2000000;
   const double best = MinSeconds(
@@ -84,6 +85,9 @@ double SpanOnlyNs() {
 
 int main() {
   bench::InitObservability();
+  // Spans feed the profiler too, and InitObservability turns it on: switch
+  // it off so "disabled" means both sinks off and "enabled" is tracing only.
+  obs::Profiler::SetEnabled(false);
   std::printf("== trace overhead ==\n");
 
   obs::Tracer::SetEnabled(false);

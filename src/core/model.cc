@@ -5,7 +5,7 @@
 #include "core/visibility.h"
 #include "nn/kernels/arena.h"
 #include "obs/metrics.h"
-#include "obs/profiler.h"
+#include "obs/trace.h"
 #include "util/logging.h"
 
 namespace turl {
@@ -47,7 +47,7 @@ nn::Tensor TurlModel::Encode(const EncodedTable& input, bool training,
   // Rng, so this is the only place dropout noise can come from.
   TURL_CHECK(!training || rng != nullptr)
       << "training Encode requires a caller-provided Rng";
-  TURL_PROFILE_SCOPE("model.encode");
+  TURL_TRACE_SCOPE("model.encode");
   static obs::Counter* encodes =
       obs::MetricsRegistry::Get().GetCounter("model.encodes");
   encodes->Inc();
@@ -84,10 +84,10 @@ nn::Tensor TurlModel::Encode(const EncodedTable& input, bool training,
 
   std::vector<float> mask;
   {
-    TURL_PROFILE_SCOPE("model.visibility_mask");
+    TURL_TRACE_SCOPE("model.visibility_mask");
     mask = BuildVisibilityMask(input, config_.use_visibility_matrix);
   }
-  TURL_PROFILE_SCOPE("model.encoder_stack");
+  TURL_TRACE_SCOPE("model.encoder_stack");
   return encoder_->Forward(x, mask, config_.dropout, training, rng);
 }
 
@@ -95,7 +95,7 @@ nn::Tensor TurlModel::MlmLogits(const nn::Tensor& hidden,
                                 const std::vector<int>& rows,
                                 Scoring scoring) const {
   TURL_CHECK(!rows.empty());
-  TURL_PROFILE_SCOPE("model.mlm_logits");
+  TURL_TRACE_SCOPE("model.mlm_logits");
   nn::kernels::ArenaScope arena;
   nn::Tensor projected = mlm_head_->Forward(nn::SelectRows(hidden, rows));
   if (scoring == Scoring::kServe && nn::kernels::QuantScoringEnabled()) {
@@ -119,7 +119,7 @@ nn::Tensor TurlModel::MerLogits(const nn::Tensor& hidden,
                                 const std::vector<int>& candidates,
                                 Scoring scoring) const {
   TURL_CHECK(!rows.empty());
-  TURL_PROFILE_SCOPE("model.mer_logits");
+  TURL_TRACE_SCOPE("model.mer_logits");
   TURL_CHECK(!candidates.empty());
   nn::kernels::ArenaScope arena;
   nn::Tensor projected = mer_head_->Forward(nn::SelectRows(hidden, rows));

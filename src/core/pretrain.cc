@@ -11,7 +11,6 @@
 #include "nn/train_parallel.h"
 #include "obs/eventlog.h"
 #include "obs/metrics.h"
-#include "obs/profiler.h"
 #include "obs/server/handlers.h"
 #include "obs/slo.h"
 #include "obs/trace.h"
@@ -47,7 +46,7 @@ Pretrainer::Pretrainer(TurlModel* model, const TurlContext* ctx)
     : model_(model), ctx_(ctx) {
   TURL_CHECK(model != nullptr);
   TURL_CHECK(ctx != nullptr);
-  TURL_PROFILE_SCOPE("pretrain.encode_corpus");
+  TURL_TRACE_SCOPE("pretrain.encode_corpus");
   const text::WordPieceTokenizer tokenizer = ctx->MakeTokenizer();
   EncodeOptions opts;
   train_encoded_.reserve(ctx->corpus.train.size());
@@ -144,7 +143,7 @@ bool CkptDirWritable(const std::string& dir, std::string* detail) {
 }
 
 PretrainResult Pretrainer::Train(const Options& options) {
-  TURL_PROFILE_SCOPE("pretrain.train");
+  TURL_TRACE_SCOPE("pretrain.train");
   // Pretraining is a long-running entry point: expose the live plane when
   // TURL_OBS_PORT asks for it (no-op otherwise).
   obs::server::StartFromEnv();
@@ -293,7 +292,6 @@ PretrainResult Pretrainer::Train(const Options& options) {
     // in the sharded path — so `oi` always names the resume position and a
     // checkpoint saved after any step restarts on a group boundary.
     for (size_t oi = oi_begin; oi < tables_per_epoch;) {
-      TURL_PROFILE_SCOPE("pretrain.step");
       const auto step_start_tp = std::chrono::steady_clock::now();
       // Each step is its own trace (sampled), so a slow step decomposes into
       // encode / mlm / mer / backward / optimizer in the Chrome export.
@@ -453,7 +451,7 @@ PretrainResult Pretrainer::Train(const Options& options) {
       window_mer += mer_sum;
       window_mer_n += mer_n;
       if (options.eval_every > 0 && step % options.eval_every == 0) {
-        TURL_PROFILE_SCOPE("pretrain.eval");
+        TURL_TRACE_SCOPE("pretrain.eval");
         Rng eval_rng(options.seed + 1);  // Fixed eval set across calls.
         const double acc = EvaluateObjectPrediction(
             options.max_eval_tables, options.max_eval_cells_per_table,
@@ -482,7 +480,7 @@ PretrainResult Pretrainer::Train(const Options& options) {
   result.final_loss = recent_count > 0 ? recent_loss / double(recent_count)
                                        : 0.0;
   {
-    TURL_PROFILE_SCOPE("pretrain.eval");
+    TURL_TRACE_SCOPE("pretrain.eval");
     Rng final_eval_rng(options.seed + 1);
     result.final_accuracy = EvaluateObjectPrediction(
         options.max_eval_tables, options.max_eval_cells_per_table,

@@ -3,7 +3,7 @@
 #include <algorithm>
 
 #include "obs/metrics.h"
-#include "obs/profiler.h"
+#include "obs/trace.h"
 #include "util/logging.h"
 
 namespace turl {
@@ -36,7 +36,7 @@ EncodedTable EncodeTable(const data::Table& table,
                          const text::WordPieceTokenizer& tokenizer,
                          const data::EntityVocab& entity_vocab,
                          const EncodeOptions& options) {
-  TURL_PROFILE_SCOPE("encode.table");
+  TURL_TRACE_SCOPE("encode.table");
   static obs::Counter* tables_encoded =
       obs::MetricsRegistry::Get().GetCounter("encode.tables");
   tables_encoded->Inc();

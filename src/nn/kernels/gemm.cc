@@ -9,7 +9,7 @@
 
 #include "nn/kernels/gemv.h"
 #include "nn/kernels/threading.h"
-#include "obs/profiler.h"
+#include "obs/trace.h"
 
 namespace turl {
 namespace nn {
@@ -309,7 +309,7 @@ void GemmNN(int64_t m, int64_t n, int64_t k, const float* a, int64_t lda,
     GemvTMulti(m, n, k, b, ldb, a, /*x_t=*/1, /*x_r=*/lda, c, ldc, accumulate);
     return;
   }
-  TURL_PROFILE_SCOPE("kernel.gemm");
+  TURL_TRACE_SCOPE("kernel.gemm");
   ScalarStreamGemm(m, n, k, a, /*a_row=*/lda, /*s_t=*/1, /*s_r=*/lda, b, ldb,
                    c, ldc, accumulate);
 }
@@ -322,7 +322,7 @@ void GemmTN(int64_t m, int64_t n, int64_t k, const float* a, int64_t lda,
     GemvTMulti(m, n, k, b, ldb, a, /*x_t=*/lda, /*x_r=*/1, c, ldc, accumulate);
     return;
   }
-  TURL_PROFILE_SCOPE("kernel.gemm");
+  TURL_TRACE_SCOPE("kernel.gemm");
   ScalarStreamGemm(m, n, k, a, /*a_row=*/1, /*s_t=*/lda, /*s_r=*/1, b, ldb, c,
                    ldc, accumulate);
 }
@@ -338,7 +338,7 @@ void GemmNT(int64_t m, int64_t n, int64_t k, const float* a, int64_t lda,
     GemvNMulti(m, n, k, b, ldb, a, lda, c, ldc, accumulate);
     return;
   }
-  TURL_PROFILE_SCOPE("kernel.gemm");
+  TURL_TRACE_SCOPE("kernel.gemm");
   if (m <= 0 || n <= 0) return;
   if (k <= 0) {
     if (!accumulate) {

@@ -7,7 +7,7 @@
 #endif
 
 #include "nn/kernels/threading.h"
-#include "obs/profiler.h"
+#include "obs/trace.h"
 
 namespace turl {
 namespace nn {
@@ -209,7 +209,7 @@ GemvNMultiPanelFn GemvNMultiPanelFor(int64_t m) {
 
 void GemvN(int64_t m, int64_t k, const float* a, int64_t lda, const float* x,
            float* y, bool accumulate) {
-  TURL_PROFILE_SCOPE("kernel.gemv");
+  TURL_TRACE_SCOPE("kernel.gemv");
   if (m <= 0) return;
   if (k <= 0) {
     if (!accumulate) std::fill(y, y + m, 0.f);
@@ -226,7 +226,7 @@ void GemvN(int64_t m, int64_t k, const float* a, int64_t lda, const float* x,
 void GemvTMulti(int64_t m, int64_t n, int64_t k, const float* b, int64_t ldb,
                 const float* x, int64_t x_t, int64_t x_r, float* c,
                 int64_t ldc, bool accumulate) {
-  TURL_PROFILE_SCOPE("kernel.gemv");
+  TURL_TRACE_SCOPE("kernel.gemv");
   if (m <= 0 || n <= 0) return;
   if (k <= 0) {
     if (!accumulate) {
@@ -252,7 +252,7 @@ void GemvT(int64_t k, int64_t n, const float* b, int64_t ldb, const float* x,
 void GemvNMulti(int64_t m, int64_t n, int64_t k, const float* b, int64_t ldb,
                 const float* x, int64_t ldx, float* c, int64_t ldc,
                 bool accumulate) {
-  TURL_PROFILE_SCOPE("kernel.gemv");
+  TURL_TRACE_SCOPE("kernel.gemv");
   if (m <= 0 || n <= 0) return;
   if (k <= 0) {
     if (!accumulate) {

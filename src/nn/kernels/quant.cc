@@ -10,7 +10,7 @@
 #endif
 
 #include "nn/kernels/threading.h"
-#include "obs/profiler.h"
+#include "obs/trace.h"
 #include "util/logging.h"
 
 namespace turl {
@@ -83,7 +83,7 @@ std::atomic<int> g_quant_scoring{-1};  // -1: resolve from the environment.
 
 QuantizedMatrix QuantizeRows(const float* w, int64_t rows, int64_t cols,
                              int64_t row_stride, int64_t col_stride) {
-  TURL_PROFILE_SCOPE("kernel.quant_pack");
+  TURL_TRACE_SCOPE("kernel.quant_pack");
   QuantizedMatrix q;
   q.rows = rows;
   q.cols = cols;
@@ -124,7 +124,7 @@ float QuantizeActivation(const float* x, int64_t n, int64_t stride,
 
 void QuantizedGemv(const QuantizedMatrix& w, const int8_t* xq, float x_scale,
                    float* y, bool accumulate) {
-  TURL_PROFILE_SCOPE("kernel.gemv_i8");
+  TURL_TRACE_SCOPE("kernel.gemv_i8");
   const int64_t panels = (w.rows + kQuantRowPanel - 1) / kQuantRowPanel;
   ParallelPanels(panels, w.rows * w.stride, [&](int64_t p) {
     const int64_t i0 = p * kQuantRowPanel;
@@ -144,7 +144,7 @@ void QuantizedGemv(const QuantizedMatrix& w, const int8_t* xq, float x_scale,
 void QuantizedGemvRows(const QuantizedMatrix& w, const int* rows,
                        int64_t num_rows, const int8_t* xq, float x_scale,
                        float* y, bool accumulate) {
-  TURL_PROFILE_SCOPE("kernel.gemv_i8");
+  TURL_TRACE_SCOPE("kernel.gemv_i8");
   const int64_t panels = (num_rows + kQuantRowPanel - 1) / kQuantRowPanel;
   ParallelPanels(panels, num_rows * w.stride, [&](int64_t p) {
     const int64_t r0 = p * kQuantRowPanel;

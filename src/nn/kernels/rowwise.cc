@@ -4,7 +4,7 @@
 #include <cmath>
 
 #include "nn/kernels/threading.h"
-#include "obs/profiler.h"
+#include "obs/trace.h"
 
 namespace turl {
 namespace nn {
@@ -47,7 +47,7 @@ void SoftmaxRowInPlace(float* row, int64_t n) {
 }  // namespace
 
 void SoftmaxRowsForward(const float* x, float* y, int64_t m, int64_t n) {
-  TURL_PROFILE_SCOPE("kernel.softmax");
+  TURL_TRACE_SCOPE("kernel.softmax");
   ForEachRowPanel(m, n, [&](int64_t i) {
     const float* row = x + i * n;
     float* out = y + i * n;
@@ -66,7 +66,7 @@ void SoftmaxRowsForward(const float* x, float* y, int64_t m, int64_t n) {
 
 void MaskedScaledSoftmaxRows(float* scores, const float* mask, float scale,
                              int64_t m, int64_t n) {
-  TURL_PROFILE_SCOPE("kernel.softmax");
+  TURL_TRACE_SCOPE("kernel.softmax");
   ForEachRowPanel(m, n, [&](int64_t i) {
     float* row = scores + i * n;
     if (mask != nullptr) {
@@ -81,7 +81,7 @@ void MaskedScaledSoftmaxRows(float* scores, const float* mask, float scale,
 
 void SoftmaxRowsBackward(const float* y, const float* dy, float* dx,
                          int64_t m, int64_t n) {
-  TURL_PROFILE_SCOPE("kernel.softmax");
+  TURL_TRACE_SCOPE("kernel.softmax");
   ForEachRowPanel(m, n, [&](int64_t i) {
     const float* yr = y + i * n;
     const float* gr = dy + i * n;
@@ -94,7 +94,7 @@ void SoftmaxRowsBackward(const float* y, const float* dy, float* dx,
 
 void SoftmaxGradInPlace(const float* y, float* d, float scale, int64_t m,
                         int64_t n) {
-  TURL_PROFILE_SCOPE("kernel.softmax");
+  TURL_TRACE_SCOPE("kernel.softmax");
   ForEachRowPanel(m, n, [&](int64_t i) {
     const float* yr = y + i * n;
     float* dr = d + i * n;
@@ -107,7 +107,7 @@ void SoftmaxGradInPlace(const float* y, float* d, float scale, int64_t m,
 void LayerNormForward(const float* x, const float* gamma, const float* beta,
                       float eps, float* y, float* xhat, float* inv_std,
                       int64_t m, int64_t n) {
-  TURL_PROFILE_SCOPE("kernel.layernorm");
+  TURL_TRACE_SCOPE("kernel.layernorm");
   const float inv_n = 1.f / float(n);
   ForEachRowPanel(m, n, [&](int64_t i) {
     const float* row = x + i * n;
@@ -134,7 +134,7 @@ void LayerNormForward(const float* x, const float* gamma, const float* beta,
 void LayerNormBackward(const float* dy, const float* gamma, const float* xhat,
                        const float* inv_std, float* dx, float* dgamma,
                        float* dbeta, int64_t m, int64_t n) {
-  TURL_PROFILE_SCOPE("kernel.layernorm");
+  TURL_TRACE_SCOPE("kernel.layernorm");
   const float inv_n = 1.f / float(n);
   for (int64_t i = 0; i < m; ++i) {
     const float* grow = dy + i * n;

@@ -1,11 +1,12 @@
 #include "nn/kernels/threading.h"
 
-#include <cstdlib>
+#include <climits>
 #include <memory>
 #include <mutex>
 #include <thread>
 
 #include "rt/thread_pool.h"
+#include "util/string_util.h"
 
 namespace turl {
 namespace nn {
@@ -22,12 +23,9 @@ int g_threads = 0;  // 0 = not yet resolved.
 int64_t g_min_flops_override = 0;
 
 int ResolveFromEnv() {
-  if (const char* env = std::getenv("TURL_KERNEL_THREADS")) {
-    const int n = std::atoi(env);
-    if (n > 0) return n;
-  }
   const unsigned hw = std::thread::hardware_concurrency();
-  return hw > 0 ? static_cast<int>(hw) : 1;
+  return EnvInt("TURL_KERNEL_THREADS", hw > 0 ? static_cast<int>(hw) : 1, 1,
+                INT_MAX);
 }
 
 int ThreadsLocked() {

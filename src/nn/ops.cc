@@ -6,7 +6,7 @@
 
 #include "nn/kernels/kernels.h"
 #include "nn/train_parallel.h"
-#include "obs/profiler.h"
+#include "obs/trace.h"
 #include "util/logging.h"
 
 namespace turl {
@@ -172,7 +172,7 @@ Tensor AddBias(const Tensor& x, const Tensor& b) {
 }
 
 Tensor MatMul(const Tensor& a, const Tensor& b) {
-  TURL_PROFILE_SCOPE("op.matmul");
+  TURL_TRACE_SCOPE("op.matmul");
   TURL_CHECK(a.defined() && b.defined());
   TURL_CHECK_EQ(a.ndim(), 2);
   TURL_CHECK_EQ(b.ndim(), 2);
@@ -186,7 +186,7 @@ Tensor MatMul(const Tensor& a, const Tensor& b) {
   auto pa = a.impl(), pb = b.impl();
   return MakeNode({m, n}, std::move(out), {pa, pb},
                   [pa, pb, m, k, n](TensorImpl* o) {
-                    TURL_PROFILE_SCOPE("op.matmul.backward");
+                    TURL_TRACE_SCOPE("op.matmul.backward");
                     const float* g = o->grad.data();
                     // dA += dOut * B^T ; dB += A^T * dOut
                     kernels::GemmNT(m, k, n, g, n, pb->data.data(), n,
@@ -197,7 +197,7 @@ Tensor MatMul(const Tensor& a, const Tensor& b) {
 }
 
 Tensor MatMulNT(const Tensor& a, const Tensor& b) {
-  TURL_PROFILE_SCOPE("op.matmul_nt");
+  TURL_TRACE_SCOPE("op.matmul_nt");
   TURL_CHECK(a.defined() && b.defined());
   TURL_CHECK_EQ(a.ndim(), 2);
   TURL_CHECK_EQ(b.ndim(), 2);
@@ -211,7 +211,7 @@ Tensor MatMulNT(const Tensor& a, const Tensor& b) {
   auto pa = a.impl(), pb = b.impl();
   return MakeNode({m, n}, std::move(out), {pa, pb},
                   [pa, pb, m, k, n](TensorImpl* o) {
-                    TURL_PROFILE_SCOPE("op.matmul_nt.backward");
+                    TURL_TRACE_SCOPE("op.matmul_nt.backward");
                     const float* g = o->grad.data();
                     // out = A * B^T  =>  dA += g * B ; dB += g^T * A
                     kernels::GemmNN(m, k, n, g, n, pb->data.data(), k,
@@ -242,7 +242,7 @@ Tensor ActivationOp(const Tensor& x, kernels::Act act) {
 }  // namespace
 
 Tensor Gelu(const Tensor& x) {
-  TURL_PROFILE_SCOPE("op.gelu");
+  TURL_TRACE_SCOPE("op.gelu");
   return ActivationOp(x, kernels::Act::kGelu);
 }
 
@@ -256,7 +256,7 @@ Tensor SigmoidOp(const Tensor& x) {
 
 Tensor LayerNormOp(const Tensor& x, const Tensor& gamma, const Tensor& beta,
                    float eps) {
-  TURL_PROFILE_SCOPE("op.layernorm");
+  TURL_TRACE_SCOPE("op.layernorm");
   TURL_CHECK(x.defined() && gamma.defined() && beta.defined());
   TURL_CHECK_EQ(x.ndim(), 2);
   const int64_t m = x.dim(0), n = x.dim(1);
@@ -275,7 +275,7 @@ Tensor LayerNormOp(const Tensor& x, const Tensor& gamma, const Tensor& beta,
   auto px = x.impl(), pg = gamma.impl(), pb = beta.impl();
   return MakeNode(x.shape(), std::move(out), {px, pg, pb},
                   [px, pg, pb, xhat, inv_std, m, n](TensorImpl* o) {
-                    TURL_PROFILE_SCOPE("op.layernorm.backward");
+                    TURL_TRACE_SCOPE("op.layernorm.backward");
                     kernels::LayerNormBackward(
                         o->grad.data(), pg->data.data(), xhat->data(),
                         inv_std->data(), GradOf(px.get()), GradOf(pg.get()),
@@ -284,7 +284,7 @@ Tensor LayerNormOp(const Tensor& x, const Tensor& gamma, const Tensor& beta,
 }
 
 Tensor EmbeddingLookup(const Tensor& weight, const std::vector<int>& ids) {
-  TURL_PROFILE_SCOPE("op.embedding");
+  TURL_TRACE_SCOPE("op.embedding");
   TURL_CHECK(weight.defined());
   TURL_CHECK_EQ(weight.ndim(), 2);
   const int64_t v = weight.dim(0), d = weight.dim(1);
@@ -299,7 +299,7 @@ Tensor EmbeddingLookup(const Tensor& weight, const std::vector<int>& ids) {
   }
   auto pw = weight.impl();
   return MakeNode({m, d}, std::move(out), {pw}, [pw, ids, d](TensorImpl* o) {
-    TURL_PROFILE_SCOPE("op.embedding.backward");
+    TURL_TRACE_SCOPE("op.embedding.backward");
     const float* g = o->grad.data();
     float* gw = GradOf(pw.get());
     for (size_t i = 0; i < ids.size(); ++i) {
@@ -428,7 +428,7 @@ Tensor RowsMean(const Tensor& x, const std::vector<int>& rows) {
 
 Tensor BagMean(const Tensor& weight,
                const std::vector<std::vector<int>>& bags) {
-  TURL_PROFILE_SCOPE("op.bag_mean");
+  TURL_TRACE_SCOPE("op.bag_mean");
   TURL_CHECK(weight.defined());
   TURL_CHECK_EQ(weight.ndim(), 2);
   const int64_t v = weight.dim(0), d = weight.dim(1);
@@ -450,7 +450,7 @@ Tensor BagMean(const Tensor& weight,
   }
   auto pw = weight.impl();
   return MakeNode({m, d}, std::move(out), {pw}, [pw, bags, d](TensorImpl* o) {
-    TURL_PROFILE_SCOPE("op.bag_mean.backward");
+    TURL_TRACE_SCOPE("op.bag_mean.backward");
     const float* g = o->grad.data();
     float* gw = GradOf(pw.get());
     for (size_t i = 0; i < bags.size(); ++i) {
@@ -467,7 +467,7 @@ Tensor BagMean(const Tensor& weight,
 }
 
 Tensor SoftmaxRows(const Tensor& x) {
-  TURL_PROFILE_SCOPE("op.softmax");
+  TURL_TRACE_SCOPE("op.softmax");
   TURL_CHECK(x.defined());
   TURL_CHECK_EQ(x.ndim(), 2);
   const int64_t m = x.dim(0), n = x.dim(1);
@@ -475,7 +475,7 @@ Tensor SoftmaxRows(const Tensor& x) {
   kernels::SoftmaxRowsForward(x.data(), out.data(), m, n);
   auto px = x.impl();
   return MakeNode(x.shape(), std::move(out), {px}, [px, m, n](TensorImpl* o) {
-    TURL_PROFILE_SCOPE("op.softmax.backward");
+    TURL_TRACE_SCOPE("op.softmax.backward");
     kernels::SoftmaxRowsBackward(o->data.data(), o->grad.data(),
                                  GradOf(px.get()), m, n);
   });
@@ -484,7 +484,7 @@ Tensor SoftmaxRows(const Tensor& x) {
 Tensor MultiHeadAttention(const Tensor& q, const Tensor& k, const Tensor& v,
                           const std::vector<float>& additive_mask,
                           int num_heads) {
-  TURL_PROFILE_SCOPE("op.attention");
+  TURL_TRACE_SCOPE("op.attention");
   TURL_CHECK(q.defined() && k.defined() && v.defined());
   TURL_CHECK_EQ(q.ndim(), 2);
   TURL_CHECK(q.shape() == k.shape() && q.shape() == v.shape());
@@ -521,7 +521,7 @@ Tensor MultiHeadAttention(const Tensor& q, const Tensor& k, const Tensor& v,
   return MakeNode(
       {n, d}, std::move(out), {pq, pk, pv},
       [pq, pk, pv, probs, n, d, dh, num_heads, scale](TensorImpl* o) {
-        TURL_PROFILE_SCOPE("op.attention.backward");
+        TURL_TRACE_SCOPE("op.attention.backward");
         const float* g = o->grad.data();
         float* gq = GradOf(pq.get());
         float* gk = GradOf(pk.get());
@@ -551,7 +551,7 @@ Tensor MultiHeadAttention(const Tensor& q, const Tensor& k, const Tensor& v,
 }
 
 Tensor Dropout(const Tensor& x, float p, bool training, Rng* rng) {
-  TURL_PROFILE_SCOPE("op.dropout");
+  TURL_TRACE_SCOPE("op.dropout");
   TURL_CHECK(x.defined());
   if (!training || p <= 0.f) return x;
   TURL_CHECK_LT(p, 1.f);
@@ -578,7 +578,7 @@ Tensor Dropout(const Tensor& x, float p, bool training, Rng* rng) {
 
 Tensor SoftmaxCrossEntropy(const Tensor& logits,
                            const std::vector<int>& targets, int ignore_index) {
-  TURL_PROFILE_SCOPE("op.softmax_xent");
+  TURL_TRACE_SCOPE("op.softmax_xent");
   TURL_CHECK(logits.defined());
   TURL_CHECK_EQ(logits.ndim(), 2);
   const int64_t m = logits.dim(0), c = logits.dim(1);
@@ -604,7 +604,7 @@ Tensor SoftmaxCrossEntropy(const Tensor& logits,
   return MakeNode(
       {1}, {float(loss) * inv}, {pl},
       [pl, probs, targets, ignore_index, m, c, inv](TensorImpl* o) {
-        TURL_PROFILE_SCOPE("op.softmax_xent.backward");
+        TURL_TRACE_SCOPE("op.softmax_xent.backward");
         const float go = o->grad[0];
         float* gl = GradOf(pl.get());
         const float* pd2 = probs->data();
@@ -621,7 +621,7 @@ Tensor SoftmaxCrossEntropy(const Tensor& logits,
 }
 
 Tensor BceWithLogits(const Tensor& logits, const std::vector<float>& targets) {
-  TURL_PROFILE_SCOPE("op.bce");
+  TURL_TRACE_SCOPE("op.bce");
   TURL_CHECK(logits.defined());
   TURL_CHECK_EQ(logits.numel(), static_cast<int64_t>(targets.size()));
   const int64_t n = logits.numel();

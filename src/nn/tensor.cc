@@ -8,7 +8,7 @@
 #include "nn/kernels/arena.h"
 #include "nn/train_parallel.h"
 #include "obs/metrics.h"
-#include "obs/profiler.h"
+#include "obs/trace.h"
 #include "rt/task_graph.h"
 #include "rt/thread_pool.h"
 #include "util/logging.h"
@@ -215,7 +215,7 @@ void Tensor::AccumulateGrad(const float* delta, int64_t n) {
 void Tensor::Backward(bool release_graph) {
   TURL_CHECK(defined());
   TURL_CHECK_EQ(numel(), 1);
-  TURL_PROFILE_SCOPE("autograd.backward");
+  TURL_TRACE_SCOPE("autograd.backward");
   static obs::Counter* backward_calls =
       obs::MetricsRegistry::Get().GetCounter("autograd.backward_calls");
   backward_calls->Inc();

@@ -1,12 +1,13 @@
 #include "nn/train_parallel.h"
 
 #include <algorithm>
-#include <cstdlib>
+#include <climits>
 #include <memory>
 #include <mutex>
 
 #include "rt/thread_pool.h"
 #include "util/logging.h"
+#include "util/string_util.h"
 
 namespace turl {
 namespace nn {
@@ -18,13 +19,9 @@ std::unique_ptr<rt::ThreadPool> g_pool;
 int g_threads = 0;  // 0 = not yet resolved.
 
 int ResolveFromEnv() {
-  if (const char* env = std::getenv("TURL_TRAIN_THREADS")) {
-    const int n = std::atoi(env);
-    if (n > 0) return n;
-  }
   // Sequential by default: training parallelism is opt-in, so a plain run
   // behaves exactly like every release before the executor existed.
-  return 1;
+  return EnvInt("TURL_TRAIN_THREADS", 1, 1, INT_MAX);
 }
 
 int ThreadsLocked() {

@@ -1,15 +1,12 @@
 #include "obs/eventlog.h"
 
-#include <algorithm>
-#include <cinttypes>
-#include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <fstream>
 #include <sstream>
 
 #include "obs/metrics.h"
 #include "util/logging.h"
+#include "util/string_util.h"
 
 namespace turl {
 namespace obs {
@@ -17,22 +14,7 @@ namespace obs {
 namespace {
 
 /// TURL_EVENTLOG=0 pins the log off even against SetEnabled(true).
-bool ReadEnvPinnedOff() {
-  const char* v = std::getenv("TURL_EVENTLOG");
-  return v != nullptr && std::strcmp(v, "0") == 0;
-}
-
-const bool g_pinned_off = ReadEnvPinnedOff();
-
-size_t RingCapacityFromEnv() {
-  if (const char* v = std::getenv("TURL_EVENTLOG_BUFFER")) {
-    const long long n = std::atoll(v);
-    if (n > 0) return static_cast<size_t>(n);
-  }
-  return 1024;
-}
-
-thread_local EventRing* tls_event_ring = nullptr;
+const bool g_pinned_off = ReadEnvSwitch("TURL_EVENTLOG") == EnvSwitch::kOff;
 
 }  // namespace
 
@@ -56,39 +38,9 @@ std::string ToJsonLine(const WideEvent& event) {
   return out.str();
 }
 
-EventRing::EventRing(size_t capacity, uint32_t tid)
-    : slots_(std::max<size_t>(capacity, 2)), tid_(tid) {}
+std::atomic<bool> EventLog::enabled_{!g_pinned_off};
 
-void EventRing::Push(const WideEvent& event) {
-  const uint64_t n = count_.load(std::memory_order_relaxed);
-  // Seqlock write (the TraceRing discipline, see seqlock.h): a concurrent
-  // Snapshot skips the slot instead of reading a torn event.
-  slots_[size_t(n % slots_.size())].Store(n, event);
-  count_.store(n + 1, std::memory_order_release);
-}
-
-void EventRing::Snapshot(std::vector<WideEvent>* out) const {
-  const uint64_t n = count_.load(std::memory_order_acquire);
-  const uint64_t cap = slots_.size();
-  for (uint64_t i = n > cap ? n - cap : 0; i < n; ++i) {
-    // Valid only if the slot still holds logical event i (the writer may
-    // have lapped us, or be mid-write).
-    WideEvent copy;
-    if (slots_[size_t(i % cap)].TryLoad(i, &copy)) out->push_back(copy);
-  }
-}
-
-uint64_t EventRing::dropped() const {
-  const uint64_t n = count_.load(std::memory_order_acquire);
-  const uint64_t cap = slots_.size();
-  return n > cap ? n - cap : 0;
-}
-
-void EventRing::Reset() { count_.store(0, std::memory_order_release); }
-
-std::atomic<bool> EventLog::enabled_{!ReadEnvPinnedOff()};
-
-EventLog::EventLog() : ring_capacity_(RingCapacityFromEnv()) {
+EventLog::EventLog() : rings_("TURL_EVENTLOG_BUFFER", 1024) {
   if (const char* path = std::getenv("TURL_EVENTLOG_JSONL")) {
     if (*path != '\0') {
       static std::string* exit_path = new std::string(path);
@@ -112,49 +64,22 @@ void EventLog::SetEnabled(bool on) {
   enabled_.store(on, std::memory_order_relaxed);
 }
 
-EventRing* EventLog::ring() {
-  if (tls_event_ring != nullptr) return tls_event_ring;
-  std::lock_guard<std::mutex> lock(mu_);
-  auto owned = std::make_shared<EventRing>(
-      ring_capacity_, static_cast<uint32_t>(rings_.size()));
-  rings_.push_back(owned);
-  tls_event_ring = owned.get();
-  return tls_event_ring;
-}
-
 void EventLog::Append(const WideEvent& event) {
   if (!Enabled()) return;
-  ring()->Push(event);
+  rings_.ring()->Push(event);
 }
 
 std::vector<WideEvent> EventLog::Snapshot(size_t last_n) const {
-  std::vector<WideEvent> out;
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    for (const auto& ring : rings_) ring->Snapshot(&out);
-  }
-  std::sort(out.begin(), out.end(),
-            [](const WideEvent& a, const WideEvent& b) {
-              return a.end_ms != b.end_ms ? a.end_ms < b.end_ms
-                                          : a.request_id < b.request_id;
-            });
+  std::vector<WideEvent> out = rings_.Snapshot();
   if (last_n > 0 && out.size() > last_n) {
     out.erase(out.begin(), out.end() - static_cast<ptrdiff_t>(last_n));
   }
   return out;
 }
 
-uint64_t EventLog::dropped() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  uint64_t total = 0;
-  for (const auto& ring : rings_) total += ring->dropped();
-  return total;
-}
+uint64_t EventLog::dropped() const { return rings_.dropped(); }
 
-void EventLog::Reset() {
-  std::lock_guard<std::mutex> lock(mu_);
-  for (const auto& ring : rings_) ring->Reset();
-}
+void EventLog::Reset() { rings_.Reset(); }
 
 std::string EventLog::ToJsonl(size_t last_n) const {
   std::ostringstream out;

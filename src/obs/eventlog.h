@@ -3,8 +3,6 @@
 
 #include <atomic>
 #include <cstdint>
-#include <memory>
-#include <mutex>
 #include <string>
 #include <vector>
 
@@ -22,17 +20,17 @@ namespace obs {
 /// per-stage time breakdown, the deadline budget vs. what was used, the
 /// final status, and the trace id linking to /tracez).
 ///
-/// Events land in lock-light per-thread rings (seqlock slots, oldest
-/// overwritten first — the TraceRing discipline) so the serve hot path pays
+/// Events land in lock-light per-thread rings (SeqlockRing, oldest
+/// overwritten first — the tracer's storage too) so the serve hot path pays
 /// a few stores per request and never contends a global lock. /requestz
 /// serves the last N events with status/task filters; TURL_EVENTLOG_JSONL
 /// exports everything retained at exit.
 ///
 /// Environment:
-///   TURL_EVENTLOG=0        pins the log off (Append is a single relaxed
-///                          load and a branch).
-///   TURL_EVENTLOG_BUFFER=N per-thread ring capacity in events (default
-///                          1024).
+///   TURL_EVENTLOG=0|1      0 pins the log off (Append is a single relaxed
+///                          load and a branch); 1 or unset keeps it on.
+///   TURL_EVENTLOG_BUFFER=N per-thread ring capacity in events, 2..1048576
+///                          (default 1024).
 ///   TURL_EVENTLOG_JSONL=p  write the retained events as JSONL to `p` at
 ///                          process exit.
 
@@ -82,35 +80,11 @@ struct WideEvent {
 /// strings, matching the Chrome-trace export).
 std::string ToJsonLine(const WideEvent& event);
 
-/// Fixed-capacity single-producer ring of WideEvents: the owning thread
-/// pushes lock-free, any thread snapshots concurrently (seqlock slots; a
-/// torn slot is skipped, not blocked on). Oldest events are overwritten
-/// when full.
-class EventRing {
- public:
-  EventRing(size_t capacity, uint32_t tid);
+/// The per-thread wide-event ring (see SeqlockRing).
+using EventRing = SeqlockRing<WideEvent>;
 
-  /// Producer side; owning thread only.
-  void Push(const WideEvent& event);
-
-  /// Appends retained events (oldest first) to `out`; skips torn slots.
-  void Snapshot(std::vector<WideEvent>* out) const;
-
-  uint32_t tid() const { return tid_; }
-  size_t capacity() const { return slots_.size(); }
-  /// Events overwritten because the ring was full.
-  uint64_t dropped() const;
-  /// Forgets all events. Test hook; the owning thread must be quiescent.
-  void Reset();
-
- private:
-  std::vector<SeqlockSlot<WideEvent>> slots_;
-  std::atomic<uint64_t> count_{0};
-  uint32_t tid_;
-};
-
-/// Process-wide wide-event log: one EventRing per emitting thread, drained
-/// for /requestz and the JSONL export. Rings outlive their threads.
+/// Process-wide wide-event log: one EventRing per emitting thread (a
+/// RingRegistry), drained for /requestz and the JSONL export.
 class EventLog {
  public:
   static EventLog& Get();
@@ -128,7 +102,7 @@ class EventLog {
   std::vector<WideEvent> Snapshot(size_t last_n = 0) const;
   /// Total events overwritten across rings.
   uint64_t dropped() const;
-  size_t ring_capacity() const { return ring_capacity_; }
+  size_t ring_capacity() const { return rings_.ring_capacity(); }
   /// Forgets all recorded events (rings stay registered). Test hook; every
   /// emitting thread must be quiescent.
   void Reset();
@@ -139,13 +113,18 @@ class EventLog {
   bool WriteJsonl(const std::string& path) const;
 
  private:
+  /// Snapshot order: by completion time, then request id.
+  struct EndOrder {
+    bool operator()(const WideEvent& a, const WideEvent& b) const {
+      return a.end_ms != b.end_ms ? a.end_ms < b.end_ms
+                                  : a.request_id < b.request_id;
+    }
+  };
+
   EventLog();
-  EventRing* ring();
 
   static std::atomic<bool> enabled_;
-  size_t ring_capacity_;
-  mutable std::mutex mu_;
-  std::vector<std::shared_ptr<EventRing>> rings_;
+  RingRegistry<WideEvent, EndOrder> rings_;
 };
 
 }  // namespace obs

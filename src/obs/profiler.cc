@@ -2,8 +2,6 @@
 
 #include <algorithm>
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <fstream>
 #include <sstream>
 
@@ -11,27 +9,6 @@
 
 namespace turl {
 namespace obs {
-
-namespace {
-
-/// TURL_PROFILE=1 enables profiling from process start; TURL_PROFILE=0 pins
-/// it off even if code calls SetEnabled(true).
-enum class EnvPolicy { kDefault, kForceOn, kForceOff };
-
-EnvPolicy ReadEnvPolicy() {
-  const char* v = std::getenv("TURL_PROFILE");
-  if (v == nullptr) return EnvPolicy::kDefault;
-  if (std::strcmp(v, "0") == 0) return EnvPolicy::kForceOff;
-  return EnvPolicy::kForceOn;
-}
-
-const EnvPolicy g_env_policy = ReadEnvPolicy();
-
-/// Per-thread accumulator of child-span time: one slot per open span on this
-/// thread; a closing span pops its slot and adds its duration to the parent.
-thread_local std::vector<double> tls_child_ms;
-
-}  // namespace
 
 struct Profiler::Agg {
   Agg() : durations(Histogram::DefaultLatencyBucketsMs()) {}
@@ -41,8 +18,6 @@ struct Profiler::Agg {
   Histogram durations;
 };
 
-std::atomic<bool> Profiler::enabled_{ReadEnvPolicy() == EnvPolicy::kForceOn};
-
 Profiler::Profiler() = default;
 
 Profiler& Profiler::Get() {
@@ -51,8 +26,7 @@ Profiler& Profiler::Get() {
 }
 
 void Profiler::SetEnabled(bool on) {
-  if (on && g_env_policy == EnvPolicy::kForceOff) return;
-  enabled_.store(on, std::memory_order_relaxed);
+  internal::SetSpanSink(kProfileSink, on);
 }
 
 void Profiler::Record(const char* name, double total_ms, double self_ms) {
@@ -130,22 +104,6 @@ std::string Profiler::ReportJson() const {
 void Profiler::Reset() {
   std::lock_guard<std::mutex> lock(mu_);
   spans_.clear();
-}
-
-void ScopedSpan::Begin(const char* name) {
-  name_ = name;
-  tls_child_ms.push_back(0.0);
-  start_ = std::chrono::steady_clock::now();
-}
-
-void ScopedSpan::End() {
-  const double ms = std::chrono::duration<double, std::milli>(
-                        std::chrono::steady_clock::now() - start_)
-                        .count();
-  const double child_ms = tls_child_ms.back();
-  tls_child_ms.pop_back();
-  if (!tls_child_ms.empty()) tls_child_ms.back() += ms;
-  Profiler::Get().Record(name_, ms, ms - child_ms);
 }
 
 bool WriteObsJson(const std::string& path) {

@@ -1,14 +1,14 @@
 #ifndef TURL_OBS_PROFILER_H_
 #define TURL_OBS_PROFILER_H_
 
-#include <atomic>
-#include <chrono>
 #include <cstdint>
 #include <map>
 #include <memory>
 #include <mutex>
 #include <string>
 #include <vector>
+
+#include "obs/trace.h"
 
 namespace turl {
 namespace obs {
@@ -26,19 +26,20 @@ struct SpanStats {
   double max_ms = 0.0;
 };
 
-/// Process-wide scoped-span profiler. Spans are declared with
-/// TURL_PROFILE_SCOPE("name") and aggregated by name; nesting is tracked per
-/// thread so parents learn how much of their time was spent in children.
+/// Process-wide span profiler: the by-name aggregate sink of TraceSpan /
+/// TURL_TRACE_SCOPE (trace.h). Nesting is tracked per thread so parents
+/// learn how much of their time was spent in children.
 ///
-/// Disabled by default: the only per-span cost is one relaxed atomic load and
-/// a branch in the ScopedSpan constructor. Enable programmatically with
-/// SetEnabled(true) or via the environment: TURL_PROFILE=1 enables at process
-/// start, TURL_PROFILE=0 pins it off (the kill switch benches respect).
+/// Disabled by default; a span then costs one relaxed atomic load and a
+/// branch (shared with the tracer's switch). Enable programmatically with
+/// SetEnabled(true) or via the environment: TURL_PROFILE=1 enables at
+/// process start, TURL_PROFILE=0 pins it off (the kill switch benches
+/// respect); any other value warns and keeps the default.
 class Profiler {
  public:
   static Profiler& Get();
 
-  static bool Enabled() { return enabled_.load(std::memory_order_relaxed); }
+  static bool Enabled() { return (SpanSinks() & kProfileSink) != 0; }
   /// SetEnabled(true) is a no-op when the environment pinned profiling off.
   static void SetEnabled(bool on);
 
@@ -58,32 +59,8 @@ class Profiler {
   struct Agg;
   Profiler();
 
-  static std::atomic<bool> enabled_;
   mutable std::mutex mu_;
   std::map<std::string, std::unique_ptr<Agg>> spans_;
-};
-
-/// RAII span. Use via TURL_PROFILE_SCOPE; constructing with profiling
-/// disabled costs a single branch and records nothing, even if profiling is
-/// enabled before the scope closes.
-class ScopedSpan {
- public:
-  explicit ScopedSpan(const char* name) : name_(nullptr) {
-    if (Profiler::Enabled()) Begin(name);
-  }
-  ~ScopedSpan() {
-    if (name_ != nullptr) End();
-  }
-
-  ScopedSpan(const ScopedSpan&) = delete;
-  ScopedSpan& operator=(const ScopedSpan&) = delete;
-
- private:
-  void Begin(const char* name);
-  void End();
-
-  const char* name_;
-  std::chrono::steady_clock::time_point start_;
 };
 
 /// Writes {"spans":[...],"metrics":{...}} (span report + the global
@@ -92,13 +69,5 @@ bool WriteObsJson(const std::string& path);
 
 }  // namespace obs
 }  // namespace turl
-
-#define TURL_OBS_CONCAT_INNER(a, b) a##b
-#define TURL_OBS_CONCAT(a, b) TURL_OBS_CONCAT_INNER(a, b)
-
-/// Times the enclosing scope under `name` (a string literal that outlives the
-/// scope). Nested scopes attribute their time to the parent's child total.
-#define TURL_PROFILE_SCOPE(name) \
-  ::turl::obs::ScopedSpan TURL_OBS_CONCAT(turl_profile_scope_, __LINE__)(name)
 
 #endif  // TURL_OBS_PROFILER_H_

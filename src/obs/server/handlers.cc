@@ -376,16 +376,11 @@ ObsServer* g_env_server = nullptr;
 
 ObsServer* StartFromEnv() {
   static ObsServer* const server = []() -> ObsServer* {
-    const char* v = std::getenv("TURL_OBS_PORT");
-    if (v == nullptr || *v == '\0') return nullptr;
-    long port = 0;
-    if (!ParseIntInRange(v, 0, 65535, &port)) {
-      TURL_LOG(Warning) << "TURL_OBS_PORT=" << v
-                        << " is not a port; observability server stays off";
-      return nullptr;
-    }
+    // Unset, empty or not a port: the server stays off.
+    const int port = EnvInt("TURL_OBS_PORT", -1, 0, 65535);
+    if (port < 0) return nullptr;
     ObsServer::Options options;
-    options.port = static_cast<int>(port);
+    options.port = port;
     auto* s = new ObsServer(options);
     RegisterStandardHandlers(s);
     const Status status = s->Start();

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <chrono>
-#include <cstdlib>
 #include <cstring>
 #include <sstream>
 
@@ -10,6 +9,7 @@
 #include "obs/server/handlers.h"
 #include "obs/telemetry.h"
 #include "util/logging.h"
+#include "util/string_util.h"
 
 namespace turl {
 namespace obs {
@@ -17,12 +17,7 @@ namespace obs {
 namespace {
 
 /// TURL_SLO=0 pins SLI recording off even against SetEnabled(true).
-bool ReadEnvPinnedOff() {
-  const char* v = std::getenv("TURL_SLO");
-  return v != nullptr && std::strcmp(v, "0") == 0;
-}
-
-const bool g_pinned_off = ReadEnvPinnedOff();
+const bool g_pinned_off = ReadEnvSwitch("TURL_SLO") == EnvSwitch::kOff;
 
 /// Latency bucket upper bounds, ms (exclusive of the +inf overflow bucket).
 /// Coarser than the registry Histogram — a window quantile only needs to be
@@ -99,7 +94,7 @@ struct SliEngine::Stream {
   Bucket buckets[SliEngine::kWindowS];
 };
 
-std::atomic<bool> SliEngine::enabled_{!ReadEnvPinnedOff()};
+std::atomic<bool> SliEngine::enabled_{!g_pinned_off};
 
 SliEngine& SliEngine::Get() {
   static SliEngine* engine = new SliEngine();

@@ -7,10 +7,14 @@
 #include <cstring>
 #include <fstream>
 #include <map>
+#include <new>
+#include <set>
 #include <sstream>
 
 #include "obs/metrics.h"
+#include "obs/profiler.h"
 #include "util/logging.h"
+#include "util/string_util.h"
 
 namespace turl {
 namespace obs {
@@ -19,27 +23,23 @@ namespace {
 
 /// TURL_TRACE=1 (or a TURL_TRACE_JSON path) enables tracing from process
 /// start; TURL_TRACE=0 pins it off even against SetEnabled(true).
-enum class EnvPolicy { kDefault, kForceOn, kForceOff };
-
-EnvPolicy ReadEnvPolicy() {
-  if (const char* v = std::getenv("TURL_TRACE")) {
-    if (std::strcmp(v, "0") == 0) return EnvPolicy::kForceOff;
-    return EnvPolicy::kForceOn;
+EnvSwitch TraceSwitch() {
+  const EnvSwitch value = ReadEnvSwitch("TURL_TRACE");
+  const char* path = std::getenv("TURL_TRACE_JSON");
+  if (value == EnvSwitch::kUnset && path != nullptr && *path != '\0') {
+    return EnvSwitch::kOn;
   }
-  if (const char* path = std::getenv("TURL_TRACE_JSON")) {
-    if (*path != '\0') return EnvPolicy::kForceOn;
-  }
-  return EnvPolicy::kDefault;
+  return value;
 }
 
-const EnvPolicy g_env_policy = ReadEnvPolicy();
+/// Each sink's environment switch, read once at start: TURL_PROFILE for
+/// the Profiler, TURL_TRACE for the tracer.
+const EnvSwitch g_profile_env = ReadEnvSwitch("TURL_PROFILE");
+const EnvSwitch g_trace_env = TraceSwitch();
 
-size_t RingCapacityFromEnv() {
-  if (const char* v = std::getenv("TURL_TRACE_BUFFER")) {
-    const long long n = std::atoll(v);
-    if (n > 0) return static_cast<size_t>(n);
-  }
-  return 16384;
+uint32_t SinksWithSwitch(EnvSwitch value) {
+  return (g_profile_env == value ? kProfileSink : 0u) |
+         (g_trace_env == value ? kTraceSink : 0u);
 }
 
 /// splitmix64 — the sampling hash; decisions depend only on (seed, seq).
@@ -51,13 +51,31 @@ uint64_t Mix64(uint64_t x) {
 }
 
 thread_local TraceContext tls_context;
-thread_local TraceRing* tls_ring = nullptr;
+
+/// Per-thread accumulator of child-span time for the Profiler sink: one
+/// slot per span open in it on this thread; a closing span pops its slot
+/// and adds its duration to the parent's.
+thread_local std::vector<double> tls_child_ms;
 
 void FormatAnnotationValue(char (&buf)[24], int64_t v) {
   std::snprintf(buf, sizeof(buf), "%lld", static_cast<long long>(v));
 }
 
 }  // namespace
+
+namespace internal {
+
+std::atomic<uint32_t> g_span_sinks{SinksWithSwitch(EnvSwitch::kOn)};
+
+void SetSpanSink(SpanSink sink, bool on) {
+  if (!on) {
+    g_span_sinks.fetch_and(~uint32_t(sink), std::memory_order_relaxed);
+  } else if ((SinksWithSwitch(EnvSwitch::kOff) & sink) == 0) {
+    g_span_sinks.fetch_or(sink, std::memory_order_relaxed);
+  }
+}
+
+}  // namespace internal
 
 void ActiveSpan::Annotate(const char* key, const char* value) {
   if (!traced() || n_annotations >= 4) return;
@@ -73,86 +91,9 @@ void ActiveSpan::Annotate(const char* key, int64_t value) {
   FormatAnnotationValue(a.value, value);
 }
 
-TraceRing::TraceRing(size_t capacity, uint32_t tid)
-    : slots_(std::max<size_t>(capacity, 2)), tid_(tid) {}
-
-void TraceRing::Push(const TraceEvent& event) {
-  const uint64_t n = count_.load(std::memory_order_relaxed);
-  TraceEvent stamped = event;
-  stamped.tid = tid_;
-  // Seqlock write (see seqlock.h): a concurrent Snapshot skips the slot
-  // instead of reading a torn event.
-  slots_[size_t(n % slots_.size())].Store(n, stamped);
-  count_.store(n + 1, std::memory_order_release);
-}
-
-void TraceRing::Snapshot(std::vector<TraceEvent>* out) const {
-  const uint64_t n = count_.load(std::memory_order_acquire);
-  const uint64_t cap = slots_.size();
-  for (uint64_t i = n > cap ? n - cap : 0; i < n; ++i) {
-    // Valid only if the slot still holds logical event i (the writer may
-    // have lapped us, or be mid-write).
-    TraceEvent copy;
-    if (slots_[size_t(i % cap)].TryLoad(i, &copy)) out->push_back(copy);
-  }
-}
-
-uint64_t TraceRing::dropped() const {
-  const uint64_t n = count_.load(std::memory_order_acquire);
-  const uint64_t cap = slots_.size();
-  return n > cap ? n - cap : 0;
-}
-
-void TraceRing::Reset() {
-  count_.store(0, std::memory_order_release);
-  // Stale slot seqs cannot collide: Snapshot only reads logical indices
-  // below the (reset) count, which Push rewrites before they are visible.
-}
-
-TraceCollector::TraceCollector(size_t ring_capacity)
-    : ring_capacity_(ring_capacity) {}
-
-TraceRing* TraceCollector::ring() {
-  if (tls_ring != nullptr) return tls_ring;
-  std::lock_guard<std::mutex> lock(mu_);
-  auto owned = std::make_shared<TraceRing>(
-      ring_capacity_, static_cast<uint32_t>(rings_.size()));
-  rings_.push_back(owned);
-  tls_ring = owned.get();
-  return tls_ring;
-}
-
-std::vector<TraceEvent> TraceCollector::Snapshot() const {
-  std::vector<TraceEvent> out;
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    for (const auto& ring : rings_) ring->Snapshot(&out);
-  }
-  std::sort(out.begin(), out.end(),
-            [](const TraceEvent& a, const TraceEvent& b) {
-              return a.start_us != b.start_us ? a.start_us < b.start_us
-                                              : a.span_id < b.span_id;
-            });
-  return out;
-}
-
-uint64_t TraceCollector::dropped() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  uint64_t total = 0;
-  for (const auto& ring : rings_) total += ring->dropped();
-  return total;
-}
-
-void TraceCollector::Reset() {
-  std::lock_guard<std::mutex> lock(mu_);
-  for (const auto& ring : rings_) ring->Reset();
-}
-
-std::atomic<bool> Tracer::enabled_{ReadEnvPolicy() == EnvPolicy::kForceOn};
-
 Tracer::Tracer()
     : epoch_(std::chrono::steady_clock::now()),
-      collector_(std::make_unique<TraceCollector>(RingCapacityFromEnv())) {
+      collector_("TURL_TRACE_BUFFER", 16384) {
   if (const char* v = std::getenv("TURL_TRACE_SAMPLE")) {
     SetSampler(ParseSamplePeriod(v), /*seed=*/0);
   }
@@ -175,9 +116,9 @@ Tracer& Tracer::Get() {
 }
 
 void Tracer::SetEnabled(bool on) {
-  if (on && g_env_policy == EnvPolicy::kForceOff) return;
+  if (on && g_trace_env == EnvSwitch::kOff) return;
   if (on) Get();  // Materialize env config (sampler, exporter) up front.
-  enabled_.store(on, std::memory_order_relaxed);
+  internal::SetSpanSink(kTraceSink, on);
 }
 
 void Tracer::SetSampler(uint64_t period, uint64_t seed) {
@@ -215,20 +156,7 @@ ActiveSpan Tracer::BeginTrace(const char* name) {
 
 void Tracer::End(ActiveSpan* span) {
   if (!span->traced()) return;
-  const auto end = std::chrono::steady_clock::now();
-  TraceEvent event;
-  event.name = span->name;
-  event.trace_id = span->trace_id;
-  event.span_id = span->span_id;
-  event.parent_id = span->parent_id;
-  event.start_us = ToMicros(span->start);
-  event.dur_us =
-      std::chrono::duration<double, std::micro>(end - span->start).count();
-  event.n_annotations = span->n_annotations;
-  for (uint32_t i = 0; i < span->n_annotations; ++i) {
-    event.annotations[i] = span->annotations[i];
-  }
-  collector_->ring()->Push(event);
+  Push(*span, std::chrono::steady_clock::now());
   span->trace_id = 0;  // Ended spans record nothing twice.
 }
 
@@ -241,21 +169,27 @@ void Tracer::RecordManual(
   ActiveSpan span = Begin(name, parent);
   span.start = start;
   for (const auto& [key, value] : annotations) span.Annotate(key, value);
+  Push(span, end);
+}
+
+void Tracer::Push(const ActiveSpan& span,
+                  std::chrono::steady_clock::time_point end) {
   TraceEvent event;
   event.name = span.name;
   event.trace_id = span.trace_id;
   event.span_id = span.span_id;
   event.parent_id = span.parent_id;
-  event.start_us = ToMicros(start);
-  event.dur_us = std::chrono::duration<double, std::micro>(end - start).count();
+  event.start_us = ToMicros(span.start);
+  event.dur_us =
+      std::chrono::duration<double, std::micro>(end - span.start).count();
   event.n_annotations = span.n_annotations;
   for (uint32_t i = 0; i < span.n_annotations; ++i) {
     event.annotations[i] = span.annotations[i];
   }
-  collector_->ring()->Push(event);
+  TraceRing* ring = collector_.ring();
+  event.tid = ring->tid();
+  ring->Push(event);
 }
-
-TraceCollector& Tracer::collector() { return *collector_; }
 
 double Tracer::ToMicros(std::chrono::steady_clock::time_point t) const {
   return std::chrono::duration<double, std::micro>(t - epoch_).count();
@@ -274,27 +208,44 @@ TraceContextScope::~TraceContextScope() {
   if (installed_) tls_context = prev_;
 }
 
-TraceSpan::TraceSpan(const char* name) {
-  if (!Tracer::Enabled() || !tls_context.traced()) return;
-  span_ = Tracer::Get().Begin(name, tls_context);
-  Install();
+void TraceSpan::Open(const char* name, bool new_trace) {
+  ::new (&open_) OpenState();
+  ActiveSpan& span = open_.span;
+  if (sinks_ & kTraceSink) {
+    const TraceContext parent =
+        new_trace ? Tracer::Get().StartTrace() : tls_context;
+    if (parent.traced()) {
+      span = Tracer::Get().Begin(name, parent);
+      open_.prev = tls_context;
+      tls_context = span.context();
+    } else {
+      sinks_ &= ~uint32_t(kTraceSink);
+    }
+  }
+  if (sinks_ & kProfileSink) {
+    tls_child_ms.push_back(0.0);
+    if (!span.traced()) {  // Begin stamped name and start on traced spans.
+      span.name = name;
+      span.start = std::chrono::steady_clock::now();
+    }
+  }
 }
 
-TraceSpan::TraceSpan(NewTraceTag, const char* name) {
-  if (!Tracer::Enabled()) return;
-  span_ = Tracer::Get().BeginTrace(name);
-  if (span_.traced()) Install();
-}
-
-void TraceSpan::Install() {
-  prev_ = tls_context;
-  tls_context = span_.context();
-  installed_ = true;
-}
-
-TraceSpan::~TraceSpan() {
-  if (installed_) tls_context = prev_;
-  if (span_.traced()) Tracer::Get().End(&span_);
+void TraceSpan::Close() {
+  const auto end = std::chrono::steady_clock::now();
+  const ActiveSpan& span = open_.span;
+  if (sinks_ & kTraceSink) {
+    tls_context = open_.prev;
+    Tracer::Get().Push(span, end);
+  }
+  if (sinks_ & kProfileSink) {
+    const double ms =
+        std::chrono::duration<double, std::milli>(end - span.start).count();
+    const double child_ms = tls_child_ms.back();
+    tls_child_ms.pop_back();
+    if (!tls_child_ms.empty()) tls_child_ms.back() += ms;
+    Profiler::Get().Record(span.name, ms, ms - child_ms);
+  }
 }
 
 uint64_t ParseSamplePeriod(const char* value) {
@@ -358,10 +309,16 @@ std::string SlowTraceReport(size_t n) {
 
   struct TraceSummary {
     const TraceEvent* root = nullptr;
-    // Child span durations summed by name, insertion-ordered by first
+    // Top-level stage durations summed by name, insertion-ordered by first
     // appearance (pipeline order, since events are start-sorted).
     std::vector<std::pair<const char*, double>> stages;
   };
+  // (trace, span) of every non-root span: a span parented under one is
+  // nested inside a stage, whose duration already covers it.
+  std::set<std::pair<uint64_t, uint64_t>> inner;
+  for (const TraceEvent& e : events) {
+    if (e.parent_id != 0) inner.emplace(e.trace_id, e.span_id);
+  }
   std::map<uint64_t, TraceSummary> traces;
   for (const TraceEvent& e : events) {
     TraceSummary& t = traces[e.trace_id];
@@ -369,6 +326,7 @@ std::string SlowTraceReport(size_t n) {
       t.root = &e;
       continue;
     }
+    if (inner.count({e.trace_id, e.parent_id})) continue;
     auto it = std::find_if(t.stages.begin(), t.stages.end(),
                            [&](const auto& s) {
                              return std::strcmp(s.first, e.name) == 0;

@@ -5,8 +5,6 @@
 #include <chrono>
 #include <cstdint>
 #include <initializer_list>
-#include <memory>
-#include <mutex>
 #include <string>
 #include <utility>
 #include <vector>
@@ -16,33 +14,60 @@
 namespace turl {
 namespace obs {
 
-/// Request-scoped tracing
-/// ======================
-/// Where the span profiler (profiler.h) answers "how fast is span X on
-/// average", the tracer answers "where did *this* request spend its time":
-/// every inference request (and every training step) carries a TraceContext
-/// — a trace id plus the span id to parent children under — through the
-/// queue → micro-batch → parallel-encode → score pipeline, and each stage
-/// records a timestamped span with its parent link, thread id and key/value
-/// annotations (batch size, token budget, task head, ...).
+/// Spans and request-scoped tracing
+/// ==================================
+/// TraceSpan (TURL_TRACE_SCOPE) is the one scoped span. It records into two
+/// sinks, chosen when it opens:
+///   * the Profiler (profiler.h) while profiling is on — a by-name
+///     aggregate with self time split from nested spans on the same thread,
+///     answering "how fast is span X on average";
+///   * the calling thread's trace ring while its TraceContext is traced —
+///     answering "where did *this* request spend its time". Every inference
+///     request (and every training step) carries a TraceContext — a trace id
+///     plus the span id to parent children under — through the queue →
+///     micro-batch → parallel-encode → score pipeline, and each span records
+///     its parent link, thread id and key/value annotations (batch size,
+///     token budget, task head, ...). A sampled request's trace therefore
+///     holds its pipeline stages and, nested under them, the model, op and
+///     kernel spans that ran on its behalf.
 ///
-/// Spans land in per-thread lock-free ring buffers (seqlock slots, oldest
-/// overwritten first) drained by the TraceCollector. Two exporters read the
-/// collected events: Chrome trace-event JSON (`TURL_TRACE_JSON=trace.json`,
-/// loadable in chrome://tracing or Perfetto) and an aligned "slowest N
-/// requests with per-stage breakdown" table printed by benches.
+/// Trace events land in per-thread SeqlockRings (oldest overwritten first)
+/// drained by the TraceCollector. Two exporters read them: Chrome
+/// trace-event JSON (`TURL_TRACE_JSON=trace.json`, loadable in
+/// chrome://tracing or Perfetto) and an aligned "slowest N requests with
+/// per-stage breakdown" table printed by benches.
 ///
-/// Cost discipline matches TURL_PROFILE: with tracing disabled, entering a
-/// span costs one relaxed atomic load and a branch, so instrumentation is
-/// safe always-on. Sampling (`TURL_TRACE_SAMPLE=1/N`) bounds the enabled
-/// cost on high-rate services; an unsampled request carries an empty
-/// context and every span under it is the same single-branch no-op.
+/// With both sinks off, entering a span is inline: one relaxed atomic load
+/// and a branch, so instrumentation is safe always-on — even per op and per
+/// kernel. Sampling (`TURL_TRACE_SAMPLE=1/N`) bounds the traced cost on
+/// high-rate services; an unsampled request carries an empty context and
+/// its spans skip the trace sink.
 ///
 /// Environment:
-///   TURL_TRACE=1        enable at process start; TURL_TRACE=0 pins off.
-///   TURL_TRACE_JSON=p   enable and write Chrome trace JSON to `p` at exit.
+///   TURL_TRACE=0|1      1 enables at process start; 0 pins off; any
+///                       other value warns and keeps the default (off).
+///   TURL_TRACE_JSON=p   enable (unless TURL_TRACE=0) and write Chrome
+///                       trace JSON to `p` at exit.
 ///   TURL_TRACE_SAMPLE=1/N  keep ~1 in N traces (deterministic, seeded).
-///   TURL_TRACE_BUFFER=N    per-thread ring capacity in events (default 16384).
+///   TURL_TRACE_BUFFER=N    per-thread ring capacity in events, 2..1048576
+///                          (default 16384).
+/// (TURL_PROFILE=0|1 is the Profiler's switch; see profiler.h.)
+
+/// The sinks a span records into, one bit each in the word SpanSinks()
+/// reads. Profiler::SetEnabled and Tracer::SetEnabled flip their bit.
+enum SpanSink : uint32_t { kProfileSink = 1u, kTraceSink = 2u };
+
+namespace internal {
+extern std::atomic<uint32_t> g_span_sinks;
+/// Turns `sink` on or off; turning on is a no-op when its environment
+/// switch pinned it off.
+void SetSpanSink(SpanSink sink, bool on);
+}  // namespace internal
+
+/// The sinks currently on — one relaxed load.
+inline uint32_t SpanSinks() {
+  return internal::g_span_sinks.load(std::memory_order_relaxed);
+}
 
 /// Identity of one traced request: the trace id plus the span new children
 /// parent under. A default-constructed context is "not traced" (disabled or
@@ -77,9 +102,10 @@ struct TraceEvent {
   TraceAnnotation annotations[4];
 };
 
-/// An open span: allocated by Tracer::Begin, closed by Tracer::End (or the
-/// RAII TraceSpan). Plain data, so it can live inside a request struct and
-/// begin/end at different call sites — or different threads.
+/// An open trace span: allocated by Tracer::Begin, closed by Tracer::End.
+/// Plain data, so it can live inside a request struct and begin/end at
+/// different call sites — or different threads, which is why it feeds the
+/// trace ring only (the Profiler's self-time stack is per thread).
 struct ActiveSpan {
   const char* name = nullptr;
   uint64_t trace_id = 0;
@@ -97,59 +123,20 @@ struct ActiveSpan {
   void Annotate(const char* key, int64_t value);
 };
 
-/// Fixed-capacity single-producer ring of TraceEvents. The owning thread
-/// pushes lock-free; when full, the oldest event is overwritten (dropped
-/// oldest-first). Any thread may Snapshot concurrently: each slot is a
-/// seqlock, so a reader that races the writer skips the torn slot instead
-/// of blocking it.
-class TraceRing {
- public:
-  TraceRing(size_t capacity, uint32_t tid);
+/// The per-thread trace-event ring (see SeqlockRing).
+using TraceRing = SeqlockRing<TraceEvent>;
 
-  /// Producer side; owning thread only.
-  void Push(const TraceEvent& event);
-
-  /// Appends the retained events (oldest first) to `out`. Safe from any
-  /// thread; events being overwritten mid-read are skipped.
-  void Snapshot(std::vector<TraceEvent>* out) const;
-
-  uint32_t tid() const { return tid_; }
-  size_t capacity() const { return slots_.size(); }
-  /// Events overwritten because the ring was full.
-  uint64_t dropped() const;
-  /// Forgets all events. Test hook; the owning thread must be quiescent.
-  void Reset();
-
- private:
-  std::vector<SeqlockSlot<TraceEvent>> slots_;
-  std::atomic<uint64_t> count_{0};
-  uint32_t tid_;
+/// Snapshot order for trace events: by start time, then span id.
+struct TraceEventOrder {
+  bool operator()(const TraceEvent& a, const TraceEvent& b) const {
+    return a.start_us != b.start_us ? a.start_us < b.start_us
+                                    : a.span_id < b.span_id;
+  }
 };
 
-/// Owns one TraceRing per thread that ever recorded a span and drains them
-/// for the exporters. Rings outlive their threads (pool workers come and
-/// go); thread ids are assigned densely in registration order.
-class TraceCollector {
- public:
-  explicit TraceCollector(size_t ring_capacity);
-
-  /// The calling thread's ring, created and registered on first use.
-  TraceRing* ring();
-
-  /// All retained events across every ring, sorted by start time.
-  std::vector<TraceEvent> Snapshot() const;
-  /// Total events overwritten across rings.
-  uint64_t dropped() const;
-  size_t ring_capacity() const { return ring_capacity_; }
-  /// Forgets all recorded events (rings stay registered). Test hook; every
-  /// recording thread must be quiescent.
-  void Reset();
-
- private:
-  size_t ring_capacity_;
-  mutable std::mutex mu_;
-  std::vector<std::shared_ptr<TraceRing>> rings_;
-};
+/// One TraceRing per thread that ever recorded a span (a RingRegistry),
+/// drained for the exporters.
+using TraceCollector = RingRegistry<TraceEvent, TraceEventOrder>;
 
 /// Process-wide tracer: enable switch, sampler, id allocation and the
 /// collector. See the file comment for the environment knobs.
@@ -157,7 +144,7 @@ class Tracer {
  public:
   static Tracer& Get();
 
-  static bool Enabled() { return enabled_.load(std::memory_order_relaxed); }
+  static bool Enabled() { return (SpanSinks() & kTraceSink) != 0; }
   /// SetEnabled(true) is a no-op when TURL_TRACE=0 pinned tracing off.
   static void SetEnabled(bool on);
 
@@ -184,20 +171,23 @@ class Tracer {
                     std::initializer_list<std::pair<const char*, int64_t>>
                         annotations = {});
 
-  TraceCollector& collector();
+  TraceCollector& collector() { return collector_; }
   /// Microseconds since the tracer's epoch.
   double ToMicros(std::chrono::steady_clock::time_point t) const;
 
  private:
+  friend class TraceSpan;
   Tracer();
+  /// Records the traced `span`, ended at `end`, to the calling thread's
+  /// ring.
+  void Push(const ActiveSpan& span, std::chrono::steady_clock::time_point end);
 
-  static std::atomic<bool> enabled_;
   std::chrono::steady_clock::time_point epoch_;
   std::atomic<uint64_t> next_span_id_{1};
   std::atomic<uint64_t> trace_seq_{0};
   std::atomic<uint64_t> sample_period_{1};
   std::atomic<uint64_t> sample_seed_{0};
-  std::unique_ptr<TraceCollector> collector_;
+  TraceCollector collector_;
 };
 
 /// The calling thread's current context — what spans with no explicit
@@ -224,33 +214,56 @@ class TraceContextScope {
 struct NewTraceTag {};
 inline constexpr NewTraceTag kNewTrace{};
 
-/// RAII span. The plain constructor nests under the thread's current
-/// context (no-op when that is untraced); the kNewTrace constructor starts
-/// a new sampled trace with this span as root. Either way the span becomes
-/// the thread's current context for its scope. Disabled tracing costs one
-/// relaxed atomic load and a branch.
+/// RAII span — the one scoped span (see the file comment). It opens in
+/// the sinks that are on: the Profiler while profiling is on, and the trace
+/// ring while the span is traced. The plain constructor nests under the
+/// thread's current context; the kNewTrace constructor starts a new sampled
+/// trace with this span as root. A traced span is the thread's current
+/// context for its scope. A span closes in every sink it opened in, even
+/// if that sink is disabled while it is open.
 class TraceSpan {
  public:
-  explicit TraceSpan(const char* name);
-  TraceSpan(NewTraceTag, const char* name);
-  ~TraceSpan();
+  explicit TraceSpan(const char* name) : sinks_(SpanSinks()) {
+    if (sinks_ != 0) Open(name, /*new_trace=*/false);
+  }
+  TraceSpan(NewTraceTag, const char* name) : sinks_(SpanSinks()) {
+    if (sinks_ != 0) Open(name, /*new_trace=*/true);
+  }
+  ~TraceSpan() {
+    if (sinks_ != 0) Close();
+  }
 
   TraceSpan(const TraceSpan&) = delete;
   TraceSpan& operator=(const TraceSpan&) = delete;
 
-  bool traced() const { return span_.traced(); }
-  TraceContext context() const { return span_.context(); }
-  void Annotate(const char* key, const char* value) {
-    span_.Annotate(key, value);
+  bool traced() const { return (sinks_ & kTraceSink) != 0; }
+  TraceContext context() const {
+    return traced() ? open_.span.context() : TraceContext();
   }
-  void Annotate(const char* key, int64_t value) { span_.Annotate(key, value); }
+  void Annotate(const char* key, const char* value) {
+    if (traced()) open_.span.Annotate(key, value);
+  }
+  void Annotate(const char* key, int64_t value) {
+    if (traced()) open_.span.Annotate(key, value);
+  }
 
  private:
-  void Install();
+  /// Opens in the sinks_ that take the span (clearing the trace bit when
+  /// the context is untraced).
+  void Open(const char* name, bool new_trace);
+  void Close();
 
-  ActiveSpan span_;
-  TraceContext prev_;
-  bool installed_ = false;
+  struct OpenState {
+    ActiveSpan span;    ///< name and start serve both sinks; ids if traced.
+    TraceContext prev;  ///< Thread context to restore, if traced.
+  };
+
+  uint32_t sinks_;  ///< The sinks the span is open in; 0 = no-op.
+  /// Constructed by Open() only, so a span with both sinks off never
+  /// touches it.
+  union {
+    OpenState open_;
+  };
 };
 
 /// Parses a TURL_TRACE_SAMPLE value: "1/N" or plain "N" -> N; empty,
@@ -268,7 +281,9 @@ bool WriteChromeTrace(const std::string& path);
 
 /// Aligned table of the slowest `n` root spans with per-stage breakdown:
 /// one line per request (trace id, root name, total ms) followed by the
-/// summed duration of its child spans grouped by name.
+/// summed duration of its top-level stages grouped by name. A span whose
+/// parent is another non-root span of the trace gets no column: its time
+/// is already inside its parent's.
 std::string SlowTraceReport(size_t n = 10);
 
 }  // namespace obs
@@ -277,9 +292,10 @@ std::string SlowTraceReport(size_t n = 10);
 #define TURL_TRACE_CONCAT_INNER(a, b) a##b
 #define TURL_TRACE_CONCAT(a, b) TURL_TRACE_CONCAT_INNER(a, b)
 
-/// Times the enclosing scope as a child of the thread's current trace
-/// context (single-branch no-op when tracing is off or the request is
-/// unsampled). `name` must be a string literal.
+/// Times the enclosing scope as a TraceSpan: into the Profiler while
+/// profiling is on, and as a child of the thread's current trace context
+/// while that is traced (one load and a branch when both are off). `name`
+/// must be a string literal.
 #define TURL_TRACE_SCOPE(name) \
   ::turl::obs::TraceSpan TURL_TRACE_CONCAT(turl_trace_scope_, __LINE__)(name)
 

@@ -6,7 +6,6 @@
 #include "core/table_encoding.h"
 #include "obs/eventlog.h"
 #include "obs/metrics.h"
-#include "obs/profiler.h"
 #include "obs/slo.h"
 #include "obs/trace.h"
 #include "util/logging.h"
@@ -110,7 +109,7 @@ bool BatchScheduler::Pump() {
 
 void BatchScheduler::Flush() {
   if (queue_.empty()) return;
-  TURL_PROFILE_SCOPE("rt.scheduler.flush");
+  TURL_TRACE_SCOPE("rt.scheduler.flush");
   std::vector<Queued> batch(std::make_move_iterator(queue_.begin()),
                             std::make_move_iterator(queue_.end()));
   queue_.clear();

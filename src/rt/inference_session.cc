@@ -1,7 +1,7 @@
 #include "rt/inference_session.h"
 
 #include "obs/metrics.h"
-#include "obs/profiler.h"
+#include "obs/trace.h"
 #include "util/logging.h"
 
 namespace turl {
@@ -48,7 +48,6 @@ Rng* InferenceSession::worker_rng() const {
 }
 
 nn::Tensor InferenceSession::Encode(const core::EncodedTable& table) const {
-  TURL_PROFILE_SCOPE("rt.encode");
   obs::TraceSpan trace("rt.encode");
   if (trace.traced()) {
     trace.Annotate("worker", int64_t(pool_->WorkerIndex()));
@@ -71,7 +70,7 @@ std::vector<nn::Tensor> InferenceSession::EncodeBatch(
 std::vector<nn::Tensor> InferenceSession::EncodeBatch(
     std::span<const core::EncodedTable* const> tables,
     std::span<const obs::TraceContext> traces) const {
-  TURL_PROFILE_SCOPE("rt.encode_batch");
+  TURL_TRACE_SCOPE("rt.encode_batch");
   TURL_CHECK(traces.empty() || traces.size() == tables.size());
   BatchCounter()->Inc();
   BatchSizeHistogram()->Observe(static_cast<double>(tables.size()));

@@ -2,12 +2,13 @@
 
 #include <algorithm>
 #include <atomic>
-#include <cstdlib>
+#include <climits>
 #include <exception>
 #include <string>
 
 #include "obs/metrics.h"
 #include "util/logging.h"
+#include "util/string_util.h"
 
 namespace turl {
 namespace rt {
@@ -41,12 +42,9 @@ obs::Counter* TaskExceptionCounter() {
 
 int ResolveThreads(int requested) {
   if (requested > 0) return requested;
-  if (const char* env = std::getenv("TURL_RT_THREADS")) {
-    const int n = std::atoi(env);
-    if (n > 0) return n;
-  }
   const unsigned hw = std::thread::hardware_concurrency();
-  return hw > 0 ? static_cast<int>(hw) : 1;
+  return EnvInt("TURL_RT_THREADS", hw > 0 ? static_cast<int>(hw) : 1, 1,
+                INT_MAX);
 }
 
 ThreadPool::ThreadPool(int num_threads)

@@ -4,7 +4,6 @@
 
 #include <cerrno>
 #include <chrono>
-#include <cstdlib>
 #include <future>
 #include <limits>
 
@@ -62,21 +61,6 @@ obs::Gauge* InflightGauge() {
 obs::Histogram* LatencyHistogram(rt::TaskKind task) {
   return obs::MetricsRegistry::Get().GetHistogram(
       std::string("serve.latency_ms.") + rt::TaskKindName(task));
-}
-
-/// TURL_* integer knob: `fallback` when unset or empty; a value that is not
-/// a whole integer in [min_value, max_value] logs a warning and keeps it.
-int EnvInt(const char* name, int fallback, int min_value, int max_value) {
-  const char* value = std::getenv(name);
-  if (value == nullptr || *value == '\0') return fallback;
-  long parsed = 0;
-  if (!ParseIntInRange(value, min_value, max_value, &parsed)) {
-    TURL_LOG(Warning) << name << "=" << value << " is not an integer in ["
-                      << min_value << ", " << max_value << "]; using "
-                      << fallback;
-    return fallback;
-  }
-  return static_cast<int>(parsed);
 }
 
 obs::server::ConnectionServer::Options CoreOptions(const ServeOptions& o) {

@@ -4,7 +4,6 @@
 
 #include "eval/metrics.h"
 #include "obs/metrics.h"
-#include "obs/profiler.h"
 #include "obs/trace.h"
 #include "tasks/task_head.h"
 #include "text/vocab.h"
@@ -154,7 +153,6 @@ core::EncodedTable TurlCellFiller::Encode(
 std::vector<float> TurlCellFiller::ScoresFrom(
     const nn::Tensor& hidden, const core::EncodedTable& encoded,
     const CellFillInstance& instance) const {
-  TURL_PROFILE_SCOPE("cellfill.score");
   obs::TraceSpan trace("task.score");
   if (trace.traced()) trace.Annotate("head", "cell_filling");
   static obs::Counter* queries =

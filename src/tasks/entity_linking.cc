@@ -5,7 +5,6 @@
 #include <map>
 
 #include "nn/optim.h"
-#include "obs/profiler.h"
 #include "obs/trace.h"
 #include "tasks/task_head.h"
 #include "util/logging.h"

@@ -5,6 +5,9 @@
 #include <cerrno>
 #include <cstdio>
 #include <cstdlib>
+#include <cstring>
+
+#include "util/logging.h"
 
 namespace turl {
 
@@ -121,6 +124,29 @@ bool ParseIntInRange(const char* s, long min_value, long max_value,
   }
   *out = value;
   return true;
+}
+
+int EnvInt(const char* name, int fallback, int min_value, int max_value) {
+  const char* value = std::getenv(name);
+  if (value == nullptr || *value == '\0') return fallback;
+  long parsed = 0;
+  if (!ParseIntInRange(value, min_value, max_value, &parsed)) {
+    TURL_LOG(Warning) << name << "=" << value << " is not an integer in ["
+                      << min_value << ", " << max_value << "]; using "
+                      << fallback;
+    return fallback;
+  }
+  return static_cast<int>(parsed);
+}
+
+EnvSwitch ReadEnvSwitch(const char* name) {
+  const char* value = std::getenv(name);
+  if (value == nullptr || *value == '\0') return EnvSwitch::kUnset;
+  if (std::strcmp(value, "1") == 0) return EnvSwitch::kOn;
+  if (std::strcmp(value, "0") == 0) return EnvSwitch::kOff;
+  TURL_LOG(Warning) << name << "=" << value
+                    << " is not 0 or 1; keeping the default";
+  return EnvSwitch::kUnset;
 }
 
 }  // namespace turl

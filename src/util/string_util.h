@@ -42,6 +42,19 @@ std::string FormatDouble(double v, int digits);
 bool ParseIntInRange(const char* s, long min_value, long max_value,
                      long* out);
 
+/// Reads the integer knob `name` (a TURL_* environment variable) through
+/// ParseIntInRange: `fallback` when unset or empty; a value that is not a
+/// whole integer in [min_value, max_value] logs a warning and keeps it.
+int EnvInt(const char* name, int fallback, int min_value, int max_value);
+
+/// An on/off knob as ReadEnvSwitch reads it.
+enum class EnvSwitch { kUnset, kOn, kOff };
+
+/// Reads the on/off knob `name`: unset or empty -> kUnset (keep the
+/// default), "1" -> kOn, "0" -> kOff; anything else logs a warning and
+/// reads as kUnset.
+EnvSwitch ReadEnvSwitch(const char* name);
+
 }  // namespace turl
 
 #endif  // TURL_UTIL_STRING_UTIL_H_

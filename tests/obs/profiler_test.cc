@@ -39,7 +39,7 @@ class ProfilerTest : public ::testing::Test {
 
 TEST_F(ProfilerTest, AggregatesByName) {
   for (int i = 0; i < 3; ++i) {
-    TURL_PROFILE_SCOPE("test.leaf");
+    TURL_TRACE_SCOPE("test.leaf");
     Sleep(1.0);
   }
   auto report = Profiler::Get().Report();
@@ -55,10 +55,10 @@ TEST_F(ProfilerTest, AggregatesByName) {
 
 TEST_F(ProfilerTest, NestedSpansSplitSelfFromChildTime) {
   {
-    TURL_PROFILE_SCOPE("test.parent");
+    TURL_TRACE_SCOPE("test.parent");
     Sleep(2.0);
     {
-      TURL_PROFILE_SCOPE("test.child");
+      TURL_TRACE_SCOPE("test.child");
       Sleep(4.0);
     }
   }
@@ -76,8 +76,8 @@ TEST_F(ProfilerTest, NestedSpansSplitSelfFromChildTime) {
 
 TEST_F(ProfilerTest, RecursiveSameNameSpansCount) {
   for (int depth = 0; depth < 2; ++depth) {
-    TURL_PROFILE_SCOPE("test.outer");
-    TURL_PROFILE_SCOPE("test.inner");
+    TURL_TRACE_SCOPE("test.outer");
+    TURL_TRACE_SCOPE("test.inner");
     Sleep(0.5);
   }
   auto report = Profiler::Get().Report();
@@ -89,7 +89,7 @@ TEST_F(ProfilerTest, RecursiveSameNameSpansCount) {
 TEST_F(ProfilerTest, DisabledSpansRecordNothing) {
   Profiler::SetEnabled(false);
   {
-    TURL_PROFILE_SCOPE("test.invisible");
+    TURL_TRACE_SCOPE("test.invisible");
     Sleep(1.0);
   }
   EXPECT_EQ(Find(Profiler::Get().Report(), "test.invisible"), nullptr);
@@ -99,7 +99,7 @@ TEST_F(ProfilerTest, SpanOpenAcrossDisableStillCloses) {
   // A span constructed while enabled must End() safely even if profiling is
   // turned off before the scope exits.
   {
-    TURL_PROFILE_SCOPE("test.straddle");
+    TURL_TRACE_SCOPE("test.straddle");
     Profiler::SetEnabled(false);
     Sleep(0.5);
   }
@@ -114,11 +114,11 @@ TEST_F(ProfilerTest, SpanOpenAcrossDisableStillCloses) {
 
 TEST_F(ProfilerTest, ReportSortedByTotalDescending) {
   {
-    TURL_PROFILE_SCOPE("test.slow");
+    TURL_TRACE_SCOPE("test.slow");
     Sleep(5.0);
   }
   {
-    TURL_PROFILE_SCOPE("test.fast");
+    TURL_TRACE_SCOPE("test.fast");
     Sleep(0.5);
   }
   auto report = Profiler::Get().Report();
@@ -130,7 +130,7 @@ TEST_F(ProfilerTest, ReportSortedByTotalDescending) {
 
 TEST_F(ProfilerTest, ReportsRenderEverySpanName) {
   {
-    TURL_PROFILE_SCOPE("test.render");
+    TURL_TRACE_SCOPE("test.render");
   }
   EXPECT_NE(Profiler::Get().ReportTable().find("test.render"),
             std::string::npos);
@@ -146,7 +146,7 @@ TEST_F(ProfilerTest, ThreadsAggregateIndependentlyThenMerge) {
   for (int t = 0; t < 4; ++t) {
     threads.emplace_back([] {
       for (int i = 0; i < 50; ++i) {
-        TURL_PROFILE_SCOPE("test.mt");
+        TURL_TRACE_SCOPE("test.mt");
       }
     });
   }

@@ -6,16 +6,19 @@
 #include "obs/trace.h"
 
 #include <chrono>
+#include <cstdlib>
 #include <cstring>
 #include <map>
 #include <set>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "core/context.h"
 #include "core/model.h"
 #include "core/table_encoding.h"
 #include "gtest/gtest.h"
+#include "obs/profiler.h"
 #include "rt/bulk.h"
 #include "rt/inference_session.h"
 
@@ -402,6 +405,157 @@ TEST(SlowTraceReportTest, ChildStagesSumByName) {
   const std::string report = SlowTraceReport(10);
   EXPECT_NE(report.find("stage.a 3.000"), std::string::npos) << report;
   EXPECT_NE(report.find("stage.b 4.000"), std::string::npos) << report;
+}
+
+TEST(SlowTraceReportTest, NestedSpansGetNoColumn) {
+  TracingOn tracing;
+  {
+    TraceSpan root(kNewTrace, "nested.request");
+    TraceSpan stage("nested.stage");
+    std::this_thread::sleep_for(std::chrono::milliseconds(2));
+    TURL_TRACE_SCOPE("nested.op");
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  double stage_ms = 0.0;
+  for (const TraceEvent& e : Tracer::Get().collector().Snapshot()) {
+    if (std::strcmp(e.name, "nested.stage") == 0) stage_ms = e.dur_us / 1e3;
+  }
+  ASSERT_GT(stage_ms, 0.0);
+  const std::string report = SlowTraceReport(10);
+  char want[64];
+  std::snprintf(want, sizeof(want), "nested.stage %.3f", stage_ms);
+  EXPECT_NE(report.find(want), std::string::npos)
+      << "the stage column carries the stage's own duration\n" << report;
+  EXPECT_EQ(report.find("nested.op"), std::string::npos)
+      << "a span under a stage is inside the stage's time\n" << report;
+}
+
+const SpanStats* FindSpan(const std::vector<SpanStats>& report,
+                          const char* name) {
+  for (const SpanStats& s : report) {
+    if (s.name == name) return &s;
+  }
+  return nullptr;
+}
+
+/// One span, two sinks: each case starts with both sinks off and a clean
+/// profile and trace ring, and turns both off again at the end.
+class SpanSinksTest : public ::testing::Test {
+ protected:
+  void SetUp() override { Reset(); }
+  void TearDown() override { Reset(); }
+
+  static void Reset() {
+    Profiler::SetEnabled(false);
+    Tracer::SetEnabled(false);
+    Profiler::Get().Reset();
+    Tracer::Get().SetSampler(/*period=*/1, /*seed=*/0);
+    Tracer::Get().collector().Reset();
+  }
+  static size_t RingEvents() {
+    return Tracer::Get().collector().Snapshot().size();
+  }
+};
+
+TEST_F(SpanSinksTest, ProfilerOnlyAggregatesAndLeavesRingUnchanged) {
+  Profiler::SetEnabled(true);
+  const size_t before = RingEvents();
+  {
+    TURL_TRACE_SCOPE("sinks.profile_only");
+  }
+  const std::vector<SpanStats> report = Profiler::Get().Report();
+  const SpanStats* s = FindSpan(report, "sinks.profile_only");
+  ASSERT_NE(s, nullptr);
+  EXPECT_EQ(s->count, 1);
+  EXPECT_EQ(RingEvents(), before);
+}
+
+TEST_F(SpanSinksTest, TracerOnlyRecordsUnderParentAndSkipsProfiler) {
+  Tracer::SetEnabled(true);
+  uint64_t root_id = 0;
+  {
+    TraceSpan root(kNewTrace, "sinks.root");
+    ASSERT_TRUE(root.traced());
+    root_id = root.context().span_id;
+    TURL_TRACE_SCOPE("sinks.trace_only");
+  }
+  const std::vector<TraceEvent> events = Tracer::Get().collector().Snapshot();
+  const TraceEvent* child = nullptr;
+  for (const TraceEvent& e : events) {
+    if (std::strcmp(e.name, "sinks.trace_only") == 0) child = &e;
+  }
+  ASSERT_NE(child, nullptr);
+  EXPECT_EQ(child->parent_id, root_id);
+  EXPECT_TRUE(Profiler::Get().Report().empty());
+}
+
+TEST_F(SpanSinksTest, BothSinksTakeTheSpanAndSplitSelfTime) {
+  Profiler::SetEnabled(true);
+  Tracer::SetEnabled(true);
+  {
+    TraceSpan parent(kNewTrace, "sinks.parent");
+    std::this_thread::sleep_for(std::chrono::milliseconds(2));
+    {
+      TURL_TRACE_SCOPE("sinks.child");
+      std::this_thread::sleep_for(std::chrono::milliseconds(4));
+    }
+  }
+  std::set<std::string> traced;
+  for (const TraceEvent& e : Tracer::Get().collector().Snapshot()) {
+    traced.insert(e.name);
+  }
+  EXPECT_TRUE(traced.count("sinks.parent"));
+  EXPECT_TRUE(traced.count("sinks.child"));
+
+  // The same split ProfilerTest.NestedSpansSplitSelfFromChildTime expects.
+  const std::vector<SpanStats> report = Profiler::Get().Report();
+  const SpanStats* parent = FindSpan(report, "sinks.parent");
+  const SpanStats* child = FindSpan(report, "sinks.child");
+  ASSERT_NE(parent, nullptr);
+  ASSERT_NE(child, nullptr);
+  EXPECT_GE(parent->total_ms, child->total_ms);
+  EXPECT_GE(child->total_ms, 4.0);
+  EXPECT_LE(parent->self_ms, parent->total_ms - child->total_ms + 1.0);
+  EXPECT_GE(parent->self_ms, 2.0);
+}
+
+TEST_F(SpanSinksTest, NewTraceSpanWithOnlyProfilingStillAggregates) {
+  Profiler::SetEnabled(true);
+  {
+    TraceSpan root(kNewTrace, "sinks.step");
+    EXPECT_FALSE(root.traced());
+  }
+  const std::vector<SpanStats> report = Profiler::Get().Report();
+  const SpanStats* s = FindSpan(report, "sinks.step");
+  ASSERT_NE(s, nullptr);
+  EXPECT_EQ(s->count, 1);
+}
+
+TEST_F(SpanSinksTest, SpanClosesInTheTraceSinkAfterTracingIsDisabled) {
+  Tracer::SetEnabled(true);
+  {
+    TraceSpan root(kNewTrace, "sinks.straddle");
+    Tracer::SetEnabled(false);
+  }
+  EXPECT_EQ(RingEvents(), 1u);
+  EXPECT_FALSE(CurrentTraceContext().traced()) << "context restored on close";
+}
+
+TEST(RingCapacityTest, KnobOutsideTwoToOneMebiKeepsTheDefault) {
+  constexpr char kKnob[] = "TURL_TRACE_TEST_RING_CAPACITY";
+  const auto read = [&](const char* value) {
+    ::setenv(kKnob, value, 1);
+    const size_t capacity = RingCapacityFromEnv(kKnob, 16384);
+    ::unsetenv(kKnob);
+    return capacity;
+  };
+  EXPECT_EQ(RingCapacityFromEnv(kKnob, 16384), 16384u);  // Unset.
+  EXPECT_EQ(read("1e6"), 16384u) << "not a whole number";
+  EXPECT_EQ(read("16k"), 16384u) << "not a whole number";
+  EXPECT_EQ(read("99999999999"), 16384u) << "above 1048576";
+  EXPECT_EQ(read("1"), 16384u) << "below the two-slot minimum";
+  EXPECT_EQ(read("65536"), 65536u);
+  EXPECT_EQ(read("1048576"), 1048576u);
 }
 
 }  // namespace

@@ -1,6 +1,7 @@
 #include "util/string_util.h"
 
 #include <climits>
+#include <cstdlib>
 
 #include "gtest/gtest.h"
 
@@ -113,6 +114,58 @@ TEST(ParseIntInRangeTest, AcceptsOnlyWholeIntegersInRange) {
   EXPECT_EQ(v, -7);  // Untouched by every rejection.
   // Overflow is rejected even when the range is the whole of long.
   EXPECT_FALSE(ParseIntInRange("99999999999999999999", LONG_MIN, LONG_MAX, &v));
+}
+
+/// Sets the test-only knob for one case and unsets it on exit.
+class ScopedEnv {
+ public:
+  ScopedEnv(const char* name, const char* value) : name_(name) {
+    if (value == nullptr) {
+      ::unsetenv(name);
+    } else {
+      ::setenv(name, value, 1);
+    }
+  }
+  ~ScopedEnv() { ::unsetenv(name_); }
+
+ private:
+  const char* name_;
+};
+
+constexpr char kKnob[] = "TURL_STRING_UTIL_TEST_KNOB";
+
+int ReadKnob(const char* value) {
+  ScopedEnv env(kKnob, value);
+  return EnvInt(kKnob, /*fallback=*/7, /*min_value=*/1, /*max_value=*/INT_MAX);
+}
+
+TEST(EnvIntTest, KeepsFallbackUnlessWholeIntegerInRange) {
+  EXPECT_EQ(ReadKnob(nullptr), 7);  // Unset.
+  EXPECT_EQ(ReadKnob(""), 7);
+  EXPECT_EQ(ReadKnob("3"), 3);
+  EXPECT_EQ(ReadKnob("4x"), 7) << "trailing junk is not 4";
+  EXPECT_EQ(ReadKnob("abc"), 7);
+  EXPECT_EQ(ReadKnob("0"), 7) << "below the minimum";
+  EXPECT_EQ(ReadKnob("-2"), 7) << "below the minimum";
+  EXPECT_EQ(ReadKnob("2147483648"), 7) << "overflows int";
+  EXPECT_EQ(ReadKnob("99999999999999999999"), 7) << "overflows long";
+  EXPECT_EQ(ReadKnob("2147483647"), INT_MAX);
+}
+
+EnvSwitch ReadSwitch(const char* value) {
+  ScopedEnv env(kKnob, value);
+  return ReadEnvSwitch(kKnob);
+}
+
+TEST(EnvSwitchTest, OnlyZeroAndOneAreAccepted) {
+  EXPECT_EQ(ReadSwitch(nullptr), EnvSwitch::kUnset);
+  EXPECT_EQ(ReadSwitch(""), EnvSwitch::kUnset);
+  EXPECT_EQ(ReadSwitch("1"), EnvSwitch::kOn);
+  EXPECT_EQ(ReadSwitch("0"), EnvSwitch::kOff);
+  for (const char* bad : {"false", "off", "true", "on", "yes", "2", "01",
+                          " 1", "1 "}) {
+    EXPECT_EQ(ReadSwitch(bad), EnvSwitch::kUnset) << bad;
+  }
 }
 
 }  // namespace
