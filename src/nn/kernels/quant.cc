@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <atomic>
 #include <cmath>
-#include <cstdlib>
 
 #if defined(__AVX2__) && defined(__FMA__)
 #include <immintrin.h>
@@ -12,6 +11,7 @@
 #include "nn/kernels/threading.h"
 #include "obs/trace.h"
 #include "util/logging.h"
+#include "util/string_util.h"
 
 namespace turl {
 namespace nn {
@@ -226,8 +226,7 @@ void QuantCache::Invalidate() {
 bool QuantScoringEnabled() {
   int v = g_quant_scoring.load(std::memory_order_relaxed);
   if (v < 0) {
-    const char* env = std::getenv("TURL_QUANT_SCORING");
-    v = (env != nullptr && env[0] == '1') ? 1 : 0;
+    v = ReadEnvSwitch("TURL_QUANT_SCORING") == EnvSwitch::kOn ? 1 : 0;
     g_quant_scoring.store(v, std::memory_order_relaxed);
   }
   return v == 1;

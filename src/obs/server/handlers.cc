@@ -151,6 +151,7 @@ std::string SnapshotJson(const SliSnapshot& s) {
 
 HttpResponse StatuszHandler(const HttpRequest& request) {
   SliEngine& engine = SliEngine::Get();
+  SloWatchdog::Get().Tick();  // An idle server lists no recovered burn.
   const std::vector<SloWatchdog::Burn> burns =
       SloWatchdog::Get().ActiveBurns();
   HttpResponse resp;

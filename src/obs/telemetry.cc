@@ -7,6 +7,7 @@
 
 #include "obs/metrics.h"
 #include "util/logging.h"
+#include "util/string_util.h"
 
 namespace turl {
 namespace obs {
@@ -116,8 +117,8 @@ TelemetryHub::TelemetryHub() {
   if (const char* path = std::getenv("TURL_METRICS_JSONL")) {
     if (*path != '\0') AddOwnedSink(std::make_unique<JsonlSink>(path));
   }
-  if (const char* v = std::getenv("TURL_METRICS_STDERR")) {
-    if (*v != '\0' && *v != '0') AddOwnedSink(std::make_unique<StderrSink>());
+  if (ReadEnvSwitch("TURL_METRICS_STDERR") == EnvSwitch::kOn) {
+    AddOwnedSink(std::make_unique<StderrSink>());
   }
 }
 

@@ -6,6 +6,7 @@
 #include <cstdlib>
 #include <cstring>
 #include <fstream>
+#include <limits>
 #include <map>
 #include <new>
 #include <set>
@@ -250,10 +251,13 @@ void TraceSpan::Close() {
 
 uint64_t ParseSamplePeriod(const char* value) {
   if (value == nullptr || *value == '\0') return 1;
-  const char* digits = value;
-  if (const char* slash = std::strchr(value, '/')) digits = slash + 1;
-  const long long n = std::atoll(digits);
-  return n > 1 ? static_cast<uint64_t>(n) : 1;
+  const char* digits = std::strncmp(value, "1/", 2) == 0 ? value + 2 : value;
+  long n = 1;  // Left as is when the value does not parse.
+  if (!ParseIntInRange(digits, 1, std::numeric_limits<int>::max(), &n)) {
+    TURL_LOG(Warning) << "TURL_TRACE_SAMPLE=" << value
+                      << " is not N or 1/N, N in [1, INT_MAX]; keeping all";
+  }
+  return static_cast<uint64_t>(n);
 }
 
 std::string ChromeTraceJson(size_t last_n) {

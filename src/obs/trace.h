@@ -266,8 +266,8 @@ class TraceSpan {
   };
 };
 
-/// Parses a TURL_TRACE_SAMPLE value: "1/N" or plain "N" -> N; empty,
-/// malformed or non-positive values -> 1 (keep everything).
+/// Parses a TURL_TRACE_SAMPLE value: "1/N" or "N" with N in [1, INT_MAX]
+/// -> N; empty -> 1 (keep everything); anything else warns and returns 1.
 uint64_t ParseSamplePeriod(const char* value);
 
 /// The collected events as Chrome trace-event JSON ({"traceEvents":[...]},

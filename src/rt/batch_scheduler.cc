@@ -67,12 +67,13 @@ BatchScheduler::~BatchScheduler() { Flush(); }
 void BatchScheduler::Submit(Request request) {
   TURL_CHECK(request.table != nullptr);
   const int64_t cost = request.table->total();
+  std::unique_lock<std::mutex> lock(mu_);
   // Flush first if admitting this request would blow the budget; the request
   // then starts a fresh batch (and an oversized single request simply gets a
   // batch of its own).
   if (!queue_.empty() && queued_budget_ + cost > options_.max_batch_budget) {
     FlushCounter("budget")->Inc();
-    Flush();
+    FlushLocked(lock);
   }
   Queued q{std::move(request), clock_()};
   q.trace = q.request.trace;
@@ -89,33 +90,60 @@ void BatchScheduler::Submit(Request request) {
   }
   q.enqueue_tp = std::chrono::steady_clock::now();
   queue_.push_back(std::move(q));
+  ++submitted_;
   queued_budget_ += cost;
   QueueDepthGauge()->Set(static_cast<double>(queue_.size()));
   pending_count_->store(static_cast<int64_t>(queue_.size()),
                         std::memory_order_relaxed);
   if (static_cast<int>(queue_.size()) >= options_.max_batch_tables) {
     FlushCounter("size")->Inc();
-    Flush();
+    FlushLocked(lock);
   }
 }
 
-bool BatchScheduler::Pump() {
-  if (queue_.empty()) return false;
-  if (clock_() - queue_.front().enqueue_ms < options_.max_age_ms) return false;
-  FlushCounter("age")->Inc();
-  Flush();
-  return true;
+void BatchScheduler::FlushLocked(std::unique_lock<std::mutex>& lock) {
+  const uint64_t target = submitted_;
+  while (completed_ < target) {
+    batch_done_.wait(lock, [this] { return !running_; });
+    if (completed_ < target) RunBatch(lock);
+  }
 }
 
-void BatchScheduler::Flush() {
-  if (queue_.empty()) return;
-  TURL_TRACE_SCOPE("rt.scheduler.flush");
+void BatchScheduler::RunBatch(std::unique_lock<std::mutex>& lock) {
+  // The first request, then as many more as both caps allow (requests
+  // submitted during a run can queue past them).
+  size_t n = 1;
+  int64_t taken = queue_.front().request.table->total();
+  while (n < queue_.size() &&
+         static_cast<int>(n) < options_.max_batch_tables &&
+         taken + queue_[n].request.table->total() <=
+             options_.max_batch_budget) {
+    taken += queue_[n++].request.table->total();
+  }
+  const auto end = queue_.begin() + static_cast<ptrdiff_t>(n);
   std::vector<Queued> batch(std::make_move_iterator(queue_.begin()),
-                            std::make_move_iterator(queue_.end()));
-  queue_.clear();
-  queued_budget_ = 0;
-  QueueDepthGauge()->Set(0.0);
-  pending_count_->store(0, std::memory_order_relaxed);
+                            std::make_move_iterator(end));
+  queue_.erase(queue_.begin(), end);
+  queued_budget_ -= taken;
+  QueueDepthGauge()->Set(static_cast<double>(queue_.size()));
+  pending_count_->store(static_cast<int64_t>(queue_.size()),
+                        std::memory_order_relaxed);
+  running_ = true;
+  lock.unlock();
+  // Hands the scheduler back even if the batch throws.
+  struct Finish {
+    BatchScheduler* self;
+    std::unique_lock<std::mutex>* lock;
+    size_t n;
+    ~Finish() {
+      lock->lock();
+      self->completed_ += n;
+      self->running_ = false;
+      self->batch_done_.notify_all();
+    }
+  } finish{this, &lock, batch.size()};
+  TURL_TRACE_SCOPE("rt.scheduler.flush");
+
   const double drain_ms = clock_();
   const auto drain_tp = std::chrono::steady_clock::now();
 

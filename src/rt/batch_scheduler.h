@@ -3,10 +3,12 @@
 
 #include <atomic>
 #include <chrono>
+#include <condition_variable>
 #include <cstdint>
 #include <deque>
 #include <functional>
 #include <memory>
+#include <mutex>
 #include <utility>
 #include <vector>
 
@@ -27,9 +29,6 @@ struct BatchSchedulerOptions {
   /// would exceed this. A request larger than the whole budget still runs,
   /// alone in its own batch.
   int64_t max_batch_budget = 4096;
-  /// Pump() flushes a non-empty queue whose oldest request has waited at
-  /// least this long. <= 0 flushes on every Pump().
-  double max_age_ms = 20.0;
 };
 
 /// Collects encode requests into size/budget-capped micro-batches and runs
@@ -45,15 +44,16 @@ struct BatchSchedulerOptions {
 /// kDeadlineExceeded — without being encoded — so queued work cannot waste
 /// model time on replies nobody is waiting for anymore.
 ///
-/// Single-threaded discipline: Submit/Pump/Flush must be called from one
-/// thread, or be externally serialized (the serve layer wraps each replica's
-/// scheduler in a mutex; the batches themselves fan out across the session's
-/// pool). Completion callbacks run on the flushing thread, in submission
-/// order — combined with the session's by-index batch semantics, kOk results
-/// are identical to calling session.Encode per request in order.
+/// Thread safety: Submit and Flush may be called from any thread. One batch
+/// runs at a time, inside Flush or a cap flush in Submit, so an idle
+/// scheduler dispatches at once and requests submitted during a run form
+/// the next (capped) batches. Callbacks run without the lock on their
+/// batch's thread in submission order — with the session's by-index batch
+/// semantics, kOk results equal session.Encode per request. A callback must
+/// not call Submit or Flush on its own scheduler.
 class BatchScheduler {
  public:
-  /// Monotonic clock in milliseconds; injectable so tests can fake age.
+  /// Monotonic clock in milliseconds; injectable so tests can fake time.
   using ClockFn = std::function<double()>;
 
   /// The default clock: monotonic milliseconds (std::chrono::steady_clock).
@@ -82,15 +82,12 @@ class BatchScheduler {
   /// spans nest under it.
   void Submit(Request request);
 
-  /// Age-based flush hook for callers with their own poll loop: flushes if
-  /// the oldest queued request has exceeded max_age_ms. Returns true if a
-  /// batch ran.
-  bool Pump();
+  /// Returns once every request submitted before the call has completed
+  /// (its `done` has returned), running batches on this thread whenever
+  /// none is running; later arrivals are left to their own callers.
+  void Flush() { std::unique_lock<std::mutex> lock(mu_); FlushLocked(lock); }
 
-  /// Runs everything still queued (no-op when empty).
-  void Flush();
-
-  size_t pending() const { return queue_.size(); }
+  size_t pending() const { return size_t(pending_count_->load()); }
   const BatchSchedulerOptions& options() const { return options_; }
 
  private:
@@ -108,15 +105,25 @@ class BatchScheduler {
     std::chrono::steady_clock::time_point enqueue_tp;
   };
 
+  void FlushLocked(std::unique_lock<std::mutex>& lock);
+  void RunBatch(std::unique_lock<std::mutex>& lock);
+
   const InferenceSession* session_;
   BatchSchedulerOptions options_;
   ClockFn clock_;
+
+  std::mutex mu_;
+  std::condition_variable batch_done_;
   std::deque<Queued> queue_;
   int64_t queued_budget_ = 0;
-  /// Race-free mirror of queue_.size() for the readiness probe below —
-  /// /healthz runs on an observability-server worker thread and must not
-  /// touch the (single-threaded) deque. Shared with the probe closure so a
-  /// probe snapshot that races scheduler destruction reads a live object.
+  /// Requests ever submitted / completed. Requests complete in submission
+  /// order, so the k-th has completed once completed_ >= k.
+  uint64_t submitted_ = 0;
+  uint64_t completed_ = 0;
+  bool running_ = false;
+  /// Lock-free mirror of queue_.size() for pending() and the readiness
+  /// probe below. Shared with the probe closure so a probe snapshot that
+  /// races scheduler destruction reads a live object.
   std::shared_ptr<std::atomic<int64_t>> pending_count_ =
       std::make_shared<std::atomic<int64_t>>(0);
   /// "rt.scheduler" in /healthz: ready while this scheduler is alive and

@@ -3,8 +3,6 @@
 #include <poll.h>
 
 #include <cerrno>
-#include <chrono>
-#include <future>
 #include <limits>
 
 #include "obs/eventlog.h"
@@ -87,6 +85,16 @@ void WriteShed(int fd) {
   obs::server::WriteAll(fd, wire.data(), wire.size());
 }
 
+/// Ticks the global SLO watchdog at most once per SLI-clock second.
+void TickSloWatchdog() {
+  static std::atomic<int64_t> last_tick_s{std::numeric_limits<int64_t>::min()};
+  const int64_t now_s = obs::SliEngine::Get().NowS();
+  int64_t last = last_tick_s.load();
+  if (now_s != last && last_tick_s.compare_exchange_strong(last, now_s)) {
+    obs::SloWatchdog::Get().Tick();
+  }
+}
+
 }  // namespace
 
 ServeOptions ServeServer::OptionsFromEnv() {
@@ -105,7 +113,6 @@ ServeServer::ServeServer(const core::TurlModel& model, ServeOptions options)
             WriteShed) {
   TURL_CHECK_GT(options_.num_replicas, 0);
   TURL_CHECK_GE(options_.max_inflight_requests, 0);
-  TURL_CHECK_GT(options_.pump_interval_ms, 0);
 }
 
 ServeServer::~ServeServer() { Stop(); }
@@ -132,8 +139,6 @@ Status ServeServer::Start() {
     replicas_.clear();
     return s;
   }
-  pump_stop_.store(false, std::memory_order_release);
-  pump_thread_ = std::thread([this] { PumpLoop(); });
 
   // Readiness flips on only now: listener bound, replicas warm, threads up.
   readiness_.emplace(
@@ -178,38 +183,11 @@ void ServeServer::Stop() {
   slo_target_ids_.clear();
 
   // Stop accepting, drain (workers notice stopping() at their next idle
-  // poll and finish the frame in flight; the pump is still alive, so every
-  // submitted request gets its response), then the hard deadline.
+  // poll and answer the frame in flight), then the hard deadline.
   core_.Stop();
-
-  // The pump stops only after every worker is gone — a worker blocked on
-  // its future needs the pump to flush that replica. Final Flush()es run in
-  // the scheduler destructors on empty queues.
-  pump_stop_.store(true, std::memory_order_release);
-  pump_thread_.join();
   replicas_.clear();
   inflight_.store(0, std::memory_order_relaxed);
   InflightGauge()->Set(0.0);
-}
-
-void ServeServer::PumpLoop() {
-  // The pump doubles as the SLO window tick: roughly once per bucket second
-  // it latches burn edges (and their one-shot telemetry). /healthz stays
-  // correct without the tick — probes re-evaluate on every scrape.
-  double since_tick_ms = 0.0;
-  while (!pump_stop_.load(std::memory_order_acquire)) {
-    for (auto& replica : replicas_) {
-      std::lock_guard<std::mutex> lock(replica->mu);
-      replica->scheduler->Pump();
-    }
-    since_tick_ms += options_.pump_interval_ms;
-    if (since_tick_ms >= 1000.0) {
-      since_tick_ms = 0.0;
-      obs::SloWatchdog::Get().Tick();
-    }
-    std::this_thread::sleep_for(
-        std::chrono::milliseconds(options_.pump_interval_ms));
-  }
 }
 
 void ServeServer::ServeConnection(int fd) {
@@ -290,6 +268,7 @@ bool ServeServer::ServeOneFrame(int fd) {
     obs::SliEngine::Get().Record(event.task,
                                  obs::OutcomeFromStatusName(event.status),
                                  event.total_us / 1000.0, event.trace_id);
+    TickSloWatchdog();
   };
 
   RequestHeader request_header;
@@ -406,22 +385,15 @@ bool ServeServer::ServeOneFrame(int fd) {
   event.replica = static_cast<int32_t>(replica_index);
   replica.inflight_cost.fetch_add(cost, std::memory_order_relaxed);
 
-  std::promise<rt::Response> promise;
-  std::future<rt::Response> future = promise.get_future();
+  rt::Response result;
   request.table = &table;
   request.task = request_header.task;
   request.request_id = request_header.request_id;
   request.deadline_ms = deadline_ms;
-  request.done = [&promise](rt::Response r) { promise.set_value(std::move(r)); };
-  {
-    // The replica mutex is BatchScheduler's external serialization: many IO
-    // workers submit, the pump thread flushes, one at a time. An eager
-    // (size/budget) flush runs inline here under the lock; the completion
-    // then lands before wait() even starts.
-    std::lock_guard<std::mutex> lock(replica.mu);
-    replica.scheduler->Submit(std::move(request));
-  }
-  rt::Response result = future.get();
+  request.done = [&result](rt::Response r) { result = std::move(r); };
+  // Flush returns after `done` ran, in this worker's batch or another's.
+  replica.scheduler->Submit(std::move(request));
+  replica.scheduler->Flush();
 
   replica.inflight_cost.fetch_sub(cost, std::memory_order_relaxed);
   inflight_.fetch_sub(1, std::memory_order_acq_rel);

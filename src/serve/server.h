@@ -4,10 +4,8 @@
 #include <atomic>
 #include <cstdint>
 #include <memory>
-#include <mutex>
 #include <optional>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "core/model.h"
@@ -30,9 +28,8 @@ struct ServeOptions {
   /// Model inference serves user payloads, but the reproduction still binds
   /// loopback by default; widen deliberately.
   std::string bind_address = "127.0.0.1";
-  /// Model replicas: each owns an InferenceSession + BatchScheduler behind
-  /// its own mutex (the cuBERT BertM shape); requests go to the least
-  /// loaded.
+  /// Model replicas: each owns an InferenceSession + BatchScheduler (the
+  /// cuBERT BertM shape); requests go to the least loaded.
   int num_replicas = 2;
   /// IO workers; each owns one connection at a time, so this is also the
   /// concurrent-connection cap. Connections beyond workers + queue are shed.
@@ -51,8 +48,6 @@ struct ServeOptions {
   /// Poll tick between frames on an idle connection; bounds how long a
   /// worker takes to notice Stop().
   int idle_poll_ms = 50;
-  /// Cadence of the age-based flush thread driving BatchScheduler::Pump.
-  int pump_interval_ms = 2;
   /// Stop(): grace period for in-flight requests before their sockets are
   /// forcibly shut down.
   int drain_deadline_ms = 2000;
@@ -75,12 +70,13 @@ struct ServeOptions {
 /// protocol of serve/protocol.h, feeding rt::Request batches through N
 /// model replicas.
 ///
-/// Replica dispatch: each replica is one InferenceSession + BatchScheduler
-/// pair guarded by a mutex; a decoded request goes to the replica with the
-/// least in-flight token cost (ties broken round-robin), is submitted under
-/// the replica lock, and micro-batches with whatever else that replica has
-/// queued. A pump thread gives every replica an age-based flush so a lone
-/// request never waits longer than batch.max_age_ms.
+/// Replica dispatch: a decoded request goes to the InferenceSession +
+/// BatchScheduler replica with the least in-flight token cost (ties broken
+/// round-robin); its IO worker submits and flushes, so an idle replica runs
+/// it at once and requests arriving during a batch coalesce into the next.
+/// After recording a request's SLI sample, a worker ticks the global
+/// SloWatchdog at most once per SLI-clock second, so burns latch while
+/// traffic flows even when nothing scrapes /healthz.
 ///
 /// Admission control and backpressure: connections beyond the accept queue
 /// are shed with an OVERLOADED frame at accept; decoded requests beyond
@@ -97,8 +93,8 @@ struct ServeOptions {
 /// Shutdown takes readiness down, then runs the core's three steps — stop
 /// accepting; graceful drain, in which workers finish the frame in flight
 /// and every admitted request is answered, bounded by drain_deadline_ms;
-/// hard deadline — and only then stops the pump and drops the replicas.
-/// In-flight requests admitted before Stop() are completed, not dropped.
+/// hard deadline — and only then drops the replicas. In-flight requests
+/// admitted before Stop() are completed, not dropped.
 class ServeServer {
  public:
   /// The model must outlive the server. Replicas share the const model (an
@@ -109,8 +105,8 @@ class ServeServer {
   ServeServer(const ServeServer&) = delete;
   ServeServer& operator=(const ServeServer&) = delete;
 
-  /// Warms the replicas, then binds, listens and spawns the accept + IO +
-  /// pump threads. Fails without leaking if the port is outside [0, 65535]
+  /// Warms the replicas, then binds, listens and spawns the core's accept
+  /// and IO threads. Fails without leaking if the port is outside [0, 65535]
   /// or the address cannot be bound.
   Status Start();
 
@@ -134,17 +130,13 @@ class ServeServer {
   static ServeOptions OptionsFromEnv();
 
  private:
-  /// One model replica: a session + scheduler pair behind a mutex. mu
-  /// serializes Submit/Pump/Flush (BatchScheduler's single-threaded
-  /// discipline); inflight_cost is the dispatcher's load signal.
+  /// One model replica; inflight_cost is the dispatcher's load signal.
   struct Replica {
     std::unique_ptr<rt::InferenceSession> session;
     std::unique_ptr<rt::BatchScheduler> scheduler;
-    std::mutex mu;
     std::atomic<int64_t> inflight_cost{0};
   };
 
-  void PumpLoop();
   void ServeConnection(int fd);
   /// Reads, decodes, runs and answers one frame. False when the connection
   /// must close (EOF, malformed frame, write failure).
@@ -163,11 +155,6 @@ class ServeServer {
   std::vector<std::unique_ptr<Replica>> replicas_;
   std::atomic<uint64_t> rr_counter_{0};
   std::atomic<int64_t> inflight_{0};
-
-  /// Separate from the core's stop: the pump must outlive the worker drain
-  /// (a worker blocked on its future needs the pump to flush that replica).
-  std::atomic<bool> pump_stop_{false};
-  std::thread pump_thread_;
 
   /// Accept thread, connection queue and IO workers; declared after
   /// everything ServeConnection reads.

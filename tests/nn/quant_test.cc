@@ -5,6 +5,7 @@
 // and the end-to-end int8-vs-fp32 score error on a logits-shaped problem.
 
 #include <cmath>
+#include <cstdlib>
 #include <cstring>
 #include <vector>
 
@@ -249,6 +250,21 @@ TEST(QuantScoringGate, TestOverrideWinsOverEnvironment) {
   SetQuantScoringForTest(0);
   EXPECT_FALSE(QuantScoringEnabled());
   SetQuantScoringForTest(-1);  // Back to env resolution (unset here -> off).
+}
+
+TEST(QuantScoringGate, EnvironmentAcceptsOnlyOneAsOn) {
+  auto enabled_with = [](const char* value) {
+    ::setenv("TURL_QUANT_SCORING", value, 1);
+    SetQuantScoringForTest(-1);
+    return QuantScoringEnabled();
+  };
+  EXPECT_TRUE(enabled_with("1"));
+  for (const char* off : {"0", "10", "1x", "true"}) {
+    EXPECT_FALSE(enabled_with(off)) << off;
+  }
+  ::unsetenv("TURL_QUANT_SCORING");
+  SetQuantScoringForTest(-1);
+  EXPECT_FALSE(QuantScoringEnabled());
 }
 
 }  // namespace

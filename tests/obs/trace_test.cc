@@ -139,6 +139,11 @@ TEST(TracerTest, ParseSamplePeriodForms) {
   EXPECT_EQ(ParseSamplePeriod("8"), 8u);
   EXPECT_EQ(ParseSamplePeriod("0"), 1u);
   EXPECT_EQ(ParseSamplePeriod("junk"), 1u);
+  // Malformed or out-of-range values keep every trace.
+  EXPECT_EQ(ParseSamplePeriod("16k"), 1u);
+  EXPECT_EQ(ParseSamplePeriod("3/16"), 1u);
+  EXPECT_EQ(ParseSamplePeriod("1/99999999999999999999"), 1u);
+  EXPECT_EQ(ParseSamplePeriod("0x10"), 1u);
 }
 
 TEST(TracerTest, ParentChildIntegrityAcrossWorkers) {

@@ -1,9 +1,11 @@
-// BatchScheduler policy tests: size-cap flush, budget-cap flush, age-based
-// Pump() with an injected fake clock, submission-order callbacks, and
-// result equivalence with per-request session.Encode.
+// BatchScheduler policy tests: size-cap flush, budget-cap flush,
+// submission-order callbacks, result equivalence with per-request
+// session.Encode, and concurrent submitters coalescing while a batch runs.
 
 #include "rt/batch_scheduler.h"
 
+#include <atomic>
+#include <thread>
 #include <vector>
 
 #include "core/context.h"
@@ -116,45 +118,6 @@ TEST(BatchSchedulerTest, BudgetCapFlushesBeforeAdmitting) {
   EXPECT_EQ(scheduler.pending(), 1u);
   scheduler.Flush();
   EXPECT_EQ(order, std::vector<int>({0, 1}));
-}
-
-TEST(BatchSchedulerTest, PumpFlushesOnAgeWithFakeClock) {
-  double now_ms = 1000.0;
-  BatchSchedulerOptions opts;
-  opts.max_batch_tables = 100;
-  opts.max_batch_budget = 1 << 30;
-  opts.max_age_ms = 20.0;
-  BatchScheduler scheduler(&Session(), opts, [&now_ms] { return now_ms; });
-  int done = 0;
-  scheduler.Submit(Req(&Tables()[0], [&](nn::Tensor) { ++done; }));
-
-  now_ms += 19.0;  // Not old enough yet.
-  EXPECT_FALSE(scheduler.Pump());
-  EXPECT_EQ(done, 0);
-  EXPECT_EQ(scheduler.pending(), 1u);
-
-  now_ms += 2.0;  // Oldest request is now 21ms old.
-  EXPECT_TRUE(scheduler.Pump());
-  EXPECT_EQ(done, 1);
-  EXPECT_EQ(scheduler.pending(), 0u);
-
-  EXPECT_FALSE(scheduler.Pump()) << "empty queue never flushes";
-}
-
-TEST(BatchSchedulerTest, PumpAgeMeasuredFromOldestRequest) {
-  double now_ms = 0.0;
-  BatchSchedulerOptions opts;
-  opts.max_batch_tables = 100;
-  opts.max_batch_budget = 1 << 30;
-  opts.max_age_ms = 10.0;
-  BatchScheduler scheduler(&Session(), opts, [&now_ms] { return now_ms; });
-  int done = 0;
-  scheduler.Submit(Req(&Tables()[0], [&](nn::Tensor) { ++done; }));
-  now_ms = 8.0;
-  scheduler.Submit(Req(&Tables()[1], [&](nn::Tensor) { ++done; }));
-  now_ms = 11.0;  // First request is 11ms old, second only 3ms.
-  EXPECT_TRUE(scheduler.Pump());
-  EXPECT_EQ(done, 2) << "a flush runs the whole queue, not just old entries";
 }
 
 TEST(BatchSchedulerTest, CallbacksRunInSubmissionOrderWithExactResults) {
@@ -274,6 +237,66 @@ TEST(BatchSchedulerTest, DestructorFlushesPendingRequests) {
     EXPECT_EQ(done, 0);
   }
   EXPECT_EQ(done, 1);
+}
+
+/// Submits and flushes request 0 on its own thread, with a `done` that
+/// holds the batch until `queued` more requests wait behind it; those are
+/// submitted and flushed from one thread each. Returns every response in
+/// completion order (batches complete one at a time, so a plain vector is
+/// race-free).
+std::vector<Response> HoldAndQueue(BatchScheduler& scheduler, size_t queued) {
+  std::vector<Response> completed;
+  std::atomic<bool> holding{false};
+  auto submit_and_flush = [&](size_t i) {
+    Request request;
+    request.table = &Tables()[i];
+    request.request_id = i;
+    request.done = [&, i](Response r) {
+      if (i == 0) {
+        holding = true;
+        while (scheduler.pending() < queued) std::this_thread::yield();
+      }
+      completed.push_back(std::move(r));
+    };
+    scheduler.Submit(std::move(request));
+    scheduler.Flush();
+  };
+  std::vector<std::thread> threads;
+  threads.emplace_back(submit_and_flush, 0);
+  while (!holding) std::this_thread::yield();
+  for (size_t i = 1; i <= queued; ++i) {
+    threads.emplace_back(submit_and_flush, i);
+  }
+  for (std::thread& t : threads) t.join();
+  return completed;
+}
+
+std::vector<int32_t> BatchSizes(const std::vector<Response>& responses) {
+  std::vector<int32_t> sizes;
+  for (const Response& r : responses) sizes.push_back(r.batch_size);
+  return sizes;
+}
+
+TEST(BatchSchedulerTest, ConcurrentSubmittersCoalesceIntoTheNextBatch) {
+  BatchScheduler scheduler(&Session());
+  const std::vector<Response> responses = HoldAndQueue(scheduler, 2);
+  // A runs alone; B and C, queued while A's batch ran, share the next one.
+  EXPECT_EQ(BatchSizes(responses), std::vector<int32_t>({1, 2, 2}));
+  for (const Response& r : responses) {
+    EXPECT_EQ(r.status, ResponseStatus::kOk) << r.request_id;
+    EXPECT_EQ(r.hidden.ToVector(),
+              Session().Encode(Tables()[r.request_id]).ToVector())
+        << "table " << r.request_id;
+  }
+}
+
+TEST(BatchSchedulerTest, RequestsQueuedDuringARunStillRespectTheSizeCap) {
+  BatchSchedulerOptions opts;
+  opts.max_batch_tables = 2;
+  opts.max_batch_budget = 1 << 30;
+  BatchScheduler scheduler(&Session(), opts);
+  EXPECT_EQ(BatchSizes(HoldAndQueue(scheduler, 3)),
+            std::vector<int32_t>({1, 2, 2, 1}));
 }
 
 }  // namespace

@@ -5,6 +5,7 @@
 // connection without hurting the server, readiness probe coverage, and the
 // graceful drain completing in-flight requests.
 
+#include <algorithm>
 #include <chrono>
 #include <cstdlib>
 #include <cstring>
@@ -78,8 +79,6 @@ ServeOptions FastOptions() {
   options.port = 0;
   options.num_replicas = 1;
   options.session.num_threads = 1;
-  options.batch.max_age_ms = 1.0;
-  options.pump_interval_ms = 1;
   return options;
 }
 
@@ -378,15 +377,23 @@ TEST(ServeServerTest, ReadinessProbeTracksLifecycle) {
 }
 
 TEST(ServeServerTest, GracefulDrainCompletesInflightRequests) {
-  const std::vector<core::EncodedTable> tables = SomeTables(1);
+  // A wider model and the largest of the first 20 tables make the encode
+  // long enough that Stop() reliably races a request still in flight.
+  core::TurlConfig config;
+  config.num_layers = 2;
+  config.d_model = 128;
+  config.d_intermediate = 512;
+  config.num_heads = 4;
+  const core::TurlModel model(config, Ctx().vocab.size(),
+                              Ctx().entity_vocab.size(), /*seed=*/11);
+  const std::vector<core::EncodedTable> tables = SomeTables(20);
   ASSERT_FALSE(tables.empty());
-  ServeOptions options = FastOptions();
-  // A long batch age parks the request in the replica queue so Stop() races
-  // a genuinely in-flight request; the pump (still alive during the drain)
-  // flushes it at ~300ms, well inside the drain deadline.
-  options.batch.max_age_ms = 300.0;
-  options.pump_interval_ms = 5;
-  ServeServer server(Model(), options);
+  const core::EncodedTable& table = *std::max_element(
+      tables.begin(), tables.end(),
+      [](const core::EncodedTable& a, const core::EncodedTable& b) {
+        return a.total() < b.total();
+      });
+  ServeServer server(model, FastOptions());
   ASSERT_TRUE(server.Start().ok());
 
   WireResponse response;
@@ -398,10 +405,17 @@ TEST(ServeServerTest, GracefulDrainCompletesInflightRequests) {
       call_status = c;
       return;
     }
-    call_status = client.Call(tables[0], rt::TaskKind::kEncode, 77, &response);
+    call_status = client.Call(table, rt::TaskKind::kEncode, 77, &response);
   });
-  // Let the request reach the replica queue, then stop the server under it.
-  std::this_thread::sleep_for(std::chrono::milliseconds(100));
+  // Wait until the request is admitted, then stop the server under it.
+  const auto give_up =
+      std::chrono::steady_clock::now() + std::chrono::seconds(10);
+  bool in_flight = false;
+  while (!(in_flight = server.inflight() == 1) &&
+         std::chrono::steady_clock::now() < give_up) {
+    std::this_thread::yield();
+  }
+  EXPECT_TRUE(in_flight) << "the request was not caught in flight";
   server.Stop();
   client_thread.join();
 
@@ -409,7 +423,9 @@ TEST(ServeServerTest, GracefulDrainCompletesInflightRequests) {
   ASSERT_TRUE(call_status.ok()) << call_status.ToString();
   ASSERT_EQ(response.status, rt::ResponseStatus::kOk);
   EXPECT_EQ(response.request_id, 77u);
-  EXPECT_EQ(response.hidden, Oracle().Encode(tables[0]).ToVector());
+  const rt::InferenceSession oracle(model,
+                                    rt::SessionOptions{.num_threads = 1});
+  EXPECT_EQ(response.hidden, oracle.Encode(table).ToVector());
 }
 
 }  // namespace

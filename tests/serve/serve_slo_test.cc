@@ -16,6 +16,7 @@
 #include "core/table_encoding.h"
 #include "gtest/gtest.h"
 #include "obs/eventlog.h"
+#include "obs/metrics.h"
 #include "obs/server/handlers.h"
 #include "obs/slo.h"
 #include "serve/client.h"
@@ -69,8 +70,6 @@ ServeOptions FastOptions() {
   options.port = 0;
   options.num_replicas = 1;
   options.session.num_threads = 1;
-  options.batch.max_age_ms = 1.0;
-  options.pump_interval_ms = 1;
   return options;
 }
 
@@ -223,7 +222,7 @@ TEST(ServeSloTest, DeadlinePressureBurnsCustomTargetWithinOneEvaluation) {
   client.Close();
   WaitForSliSamples("encode", 1);
 
-  // One probe evaluation — no pump-loop wait — sees the burn.
+  // One probe evaluation sees the burn.
   std::string detail;
   ASSERT_TRUE(ProbeState("slo.serve_test.deadline", &ok, &detail));
   EXPECT_FALSE(ok) << detail;
@@ -240,6 +239,60 @@ TEST(ServeSloTest, DeadlinePressureBurnsCustomTargetWithinOneEvaluation) {
   // Stop removed the custom target with the defaults.
   EXPECT_FALSE(ProbeState("slo.serve_test.deadline", &ok, nullptr));
   EXPECT_TRUE(obs::SloWatchdog::Get().ActiveBurns().empty());
+  obs::SliEngine::Get().Reset();
+}
+
+TEST(ServeSloTest, BurnLatchesWithoutAScrapeWhileTrafficFlows) {
+  obs::SliEngine::Get().Reset();
+  obs::SliEngine::SetEnabled(true);
+  obs::Counter* burns =
+      obs::MetricsRegistry::Get().GetCounter("obs.slo_burns");
+  const int64_t burns_before = burns->Value();
+
+  const std::vector<core::EncodedTable> tables = SomeTables(1);
+  ASSERT_FALSE(tables.empty());
+  ServeOptions options = FastOptions();
+  obs::SloTarget target;  // Zero tolerance: one miss burns.
+  target.name = "serve_test.unscraped";
+  target.stream = "encode";
+  target.horizon_s = 10;
+  target.min_requests = 1;
+  target.max_deadline_miss_rate = 0.0;
+  options.slo_targets.push_back(target);
+  ServeServer server(Model(), options);
+  ASSERT_TRUE(server.Start().ok());
+
+  ServeClient client;
+  ASSERT_TRUE(client.Connect("127.0.0.1", server.port()).ok());
+  WireResponse response;
+  ASSERT_TRUE(client
+                  .Call(tables[0], rt::TaskKind::kEncode, 1, &response,
+                        /*deadline_ms=*/0)
+                  .ok());
+  EXPECT_EQ(response.status, rt::ResponseStatus::kDeadlineExceeded);
+
+  // Ok traffic only — nothing runs the /healthz probes. The request path's
+  // watchdog tick must latch the burn by itself.
+  auto burning = [] {
+    for (const auto& burn : obs::SloWatchdog::Get().ActiveBurns()) {
+      if (burn.name == "slo.serve_test.unscraped") return true;
+    }
+    return false;
+  };
+  const auto give_up =
+      std::chrono::steady_clock::now() + std::chrono::seconds(3);
+  for (uint64_t id = 2;
+       !burning() && std::chrono::steady_clock::now() < give_up; ++id) {
+    ASSERT_TRUE(client.Call(tables[0], rt::TaskKind::kEncode, id, &response)
+                    .ok());
+    ASSERT_EQ(response.status, rt::ResponseStatus::kOk);
+    std::this_thread::sleep_for(std::chrono::milliseconds(100));
+  }
+  client.Close();
+  EXPECT_TRUE(burning());
+  EXPECT_EQ(burns->Value(), burns_before + 1);
+
+  server.Stop();
   obs::SliEngine::Get().Reset();
 }
 
