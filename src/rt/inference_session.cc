@@ -35,17 +35,7 @@ obs::Histogram* BatchSizeHistogram() {
 
 InferenceSession::InferenceSession(const core::TurlModel& model,
                                    SessionOptions options)
-    : model_(model), pool_(std::make_unique<ThreadPool>(options.num_threads)) {
-  scratch_rngs_.reserve(size_t(pool_->num_threads()));
-  for (int i = 0; i < pool_->num_threads(); ++i) {
-    scratch_rngs_.push_back(std::make_unique<Rng>(
-        options.scratch_seed + static_cast<uint64_t>(i)));
-  }
-}
-
-Rng* InferenceSession::worker_rng() const {
-  return scratch_rngs_[size_t(pool_->WorkerIndex())].get();
-}
+    : model_(model), pool_(std::make_unique<ThreadPool>(options.num_threads)) {}
 
 nn::Tensor InferenceSession::Encode(const core::EncodedTable& table) const {
   obs::TraceSpan trace("rt.encode");

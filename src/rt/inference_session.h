@@ -1,7 +1,6 @@
 #ifndef TURL_RT_INFERENCE_SESSION_H_
 #define TURL_RT_INFERENCE_SESSION_H_
 
-#include <functional>
 #include <memory>
 #include <span>
 #include <vector>
@@ -11,7 +10,6 @@
 #include "nn/tensor.h"
 #include "obs/trace.h"
 #include "rt/thread_pool.h"
-#include "util/rng.h"
 
 namespace turl {
 namespace rt {
@@ -20,20 +18,15 @@ namespace rt {
 struct SessionOptions {
   /// 0 resolves through $TURL_RT_THREADS, then hardware concurrency.
   int num_threads = 0;
-  /// Seed for the per-worker scratch Rngs (worker i draws from seed + i).
-  /// Inference forwards are dropout-free and never consume randomness, so
-  /// this only matters to heads that explicitly sample.
-  uint64_t scratch_seed = 0;
 };
 
 /// A shared read-only inference runtime over one pre-trained TurlModel.
 ///
-/// The session owns a fixed-size ThreadPool plus per-worker scratch (an Rng
-/// per worker) and runs batches of table forwards across the workers. The
-/// model reference is const and every forward is an inference forward
-/// (training=false): no dropout, no gradient accumulation, no mutation of
-/// shared state — so any number of workers may encode through the same model
-/// concurrently.
+/// The session owns a fixed-size ThreadPool and runs batches of table
+/// forwards across its workers. The model reference is const and every
+/// forward is an inference forward (training=false): no dropout, no gradient
+/// accumulation, no mutation of shared state — so any number of workers may
+/// encode through the same model concurrently.
 ///
 /// Determinism contract: Encode/EncodeBatch outputs are a pure function of
 /// the encoded tables and the model weights. Batch results are written by
@@ -57,10 +50,6 @@ class InferenceSession {
   int num_threads() const { return pool_->num_threads(); }
   ThreadPool& pool() const { return *pool_; }
 
-  /// Scratch Rng of the calling worker (worker 0 when called off-pool).
-  /// Deterministically seeded per worker; for heads that explicitly sample.
-  Rng* worker_rng() const;
-
   /// One inference forward: contextualized representations
   /// [table.total(), d_model] (see TurlModel::Encode).
   nn::Tensor Encode(const core::EncodedTable& table) const;
@@ -77,23 +66,9 @@ class InferenceSession {
       std::span<const core::EncodedTable* const> tables,
       std::span<const obs::TraceContext> traces = {}) const;
 
-  /// Deterministic fan-out helper: out[i] = fn(i) for i in [0, n), computed
-  /// across the pool. `grain` batches small work items per dispatch.
-  template <typename R>
-  std::vector<R> Map(size_t n, const std::function<R(size_t)>& fn,
-                     int64_t grain = 1) const {
-    std::vector<R> out(n);
-    pool_->ParallelFor(0, static_cast<int64_t>(n), grain,
-                       [&](int64_t i) { out[size_t(i)] = fn(size_t(i)); });
-    return out;
-  }
-
  private:
   const core::TurlModel& model_;
   std::unique_ptr<ThreadPool> pool_;
-  /// One scratch Rng per worker, indexed by ThreadPool::WorkerIndex().
-  /// unique_ptr keeps addresses stable; workers never share an Rng.
-  std::vector<std::unique_ptr<Rng>> scratch_rngs_;
 };
 
 }  // namespace rt

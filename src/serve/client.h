@@ -14,8 +14,8 @@ namespace serve {
 
 /// Blocking client for the serve protocol: one connection, any number of
 /// Call()s in order. This is the reference wire speaker — the fuzz tests
-/// and bench_serve both drive a server through it — and deliberately small:
-/// no pipelining, no reconnect policy.
+/// and perfbench's serve_sparse load generator both drive a server through
+/// it — and deliberately small: no pipelining, no reconnect policy.
 class ServeClient {
  public:
   ServeClient() = default;

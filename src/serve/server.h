@@ -53,7 +53,7 @@ struct ServeOptions {
   int drain_deadline_ms = 2000;
   /// Request frames with a larger payload are rejected before allocation.
   uint32_t max_payload_bytes = kDefaultMaxPayloadBytes;
-  /// Per-replica session knobs (threads per replica, scratch seed).
+  /// Per-replica session knobs (threads per replica).
   rt::SessionOptions session;
   /// Per-replica micro-batching policy.
   rt::BatchSchedulerOptions batch;

@@ -96,10 +96,11 @@ struct PretrainRun {
   std::vector<std::vector<float>> params;
 };
 
-PretrainRun RunPretrain(const core::Pretrainer::Options& opts, int threads) {
+PretrainRun RunPretrain(const core::Pretrainer::Options& opts, int threads,
+                        const core::TurlConfig& config = TinyConfig()) {
   nn::SetTrainThreads(threads);
-  core::TurlModel model(TinyConfig(), Ctx().vocab.size(),
-                        Ctx().entity_vocab.size(), 1);
+  core::TurlModel model(config, Ctx().vocab.size(), Ctx().entity_vocab.size(),
+                        1);
   core::Pretrainer pretrainer(&model, &Ctx());
   PretrainRun run{pretrainer.Train(opts), ParamsOf(model)};
   nn::SetTrainThreads(1);
@@ -127,6 +128,26 @@ TEST(PretrainParallelTest, ClassicPathBitIdenticalAcrossThreadCounts) {
   const PretrainRun par = RunPretrain(BaseOptions(), /*threads=*/4);
   ExpectSameResult(seq.result, par.result);
   ExpectBitIdentical(seq.params, par.params);
+}
+
+TEST(PretrainParallelTest, ClassicPathBitIdenticalAtReproScale) {
+  // The case above at repro scale: the default model (2 layers, 4 heads) and
+  // 48 tables give the K=1 tape executor far more independent tasks per step
+  // than the tiny model. A missing ordering edge between tape tasks need not
+  // change the bits on every run, so four parallel runs face one sequential
+  // run.
+  ThreadGuard guard;
+  core::Pretrainer::Options opts;
+  opts.epochs = 1;
+  opts.max_train_tables = 48;
+  opts.eval_every = 0;
+  const core::TurlConfig config;  // Repro-scale defaults.
+  const PretrainRun seq = RunPretrain(opts, /*threads=*/1, config);
+  for (int run = 0; run < 4; ++run) {
+    const PretrainRun par = RunPretrain(opts, /*threads=*/4, config);
+    ExpectSameResult(seq.result, par.result);
+    ExpectBitIdentical(seq.params, par.params);
+  }
 }
 
 TEST(PretrainParallelTest, ShardedPathBitIdenticalAcrossThreadCounts) {

@@ -130,21 +130,6 @@ TEST(InferenceSessionTest, EncodeMatchesModelEncode) {
             Model().Encode(t, /*training=*/false).ToVector());
 }
 
-TEST(InferenceSessionTest, MapIsDeterministicByIndex) {
-  InferenceSession session(Model(), SessionOptions{.num_threads = 4});
-  std::vector<int> out = session.Map<int>(
-      100, [](size_t i) { return int(i) * 3; }, /*grain=*/4);
-  ASSERT_EQ(out.size(), 100u);
-  for (size_t i = 0; i < out.size(); ++i) EXPECT_EQ(out[i], int(i) * 3);
-}
-
-TEST(InferenceSessionTest, WorkerRngIsAvailableOffPool) {
-  InferenceSession session(Model(), SessionOptions{.num_threads = 2,
-                                                   .scratch_seed = 7});
-  ASSERT_NE(session.worker_rng(), nullptr);
-  (void)session.worker_rng()->Next();
-}
-
 TEST(InferenceSessionTest, EmptyBatchIsFine) {
   InferenceSession session(Model(), SessionOptions{.num_threads = 2});
   EXPECT_TRUE(

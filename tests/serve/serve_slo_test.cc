@@ -169,6 +169,58 @@ TEST(ServeSloTest, OkTrafficEmitsWideEventsAndAgreesWithSliWindow) {
   obs::EventLog::Get().Reset();
 }
 
+TEST(ServeSloTest, ShedAndDeadlineOutcomesAgreeWithSliWindow) {
+  // Every terminal path that answers a decoded request records exactly one
+  // SLI sample with the outcome the client saw: three sheds at a zero
+  // in-flight cap, then two ok replies and one deadline miss.
+  obs::SliEngine::Get().Reset();
+  obs::SliEngine::SetEnabled(true);
+
+  const std::vector<core::EncodedTable> tables = SomeTables(1);
+  ASSERT_FALSE(tables.empty());
+  const auto call = [&](const ServeServer& server, uint64_t id,
+                        uint32_t deadline_ms) {
+    ServeClient client;
+    WireResponse response;
+    EXPECT_TRUE(client.Connect("127.0.0.1", server.port()).ok());
+    EXPECT_TRUE(client
+                    .Call(tables[0], rt::TaskKind::kEncode, id, &response,
+                          deadline_ms)
+                    .ok());
+    return response.status;
+  };
+
+  {
+    ServeOptions options = FastOptions();
+    options.max_inflight_requests = 0;  // Admission always sheds.
+    ServeServer server(Model(), options);
+    ASSERT_TRUE(server.Start().ok());
+    for (uint64_t id = 1; id <= 3; ++id) {
+      EXPECT_EQ(call(server, id, kNoDeadline),
+                rt::ResponseStatus::kOverloaded);
+    }
+    server.Stop();
+  }
+  {
+    ServeServer server(Model(), FastOptions());
+    ASSERT_TRUE(server.Start().ok());
+    EXPECT_EQ(call(server, 4, kNoDeadline), rt::ResponseStatus::kOk);
+    EXPECT_EQ(call(server, 5, kNoDeadline), rt::ResponseStatus::kOk);
+    EXPECT_EQ(call(server, 6, /*deadline_ms=*/0),
+              rt::ResponseStatus::kDeadlineExceeded);
+    server.Stop();
+  }
+
+  WaitForSliSamples("encode", 6);
+  const obs::SliSnapshot s = obs::SliEngine::Get().Snapshot("encode", 10);
+  EXPECT_EQ(s.total, 6);
+  EXPECT_EQ(s.ok, 2);
+  EXPECT_EQ(s.shed, 3);
+  EXPECT_EQ(s.deadline_miss, 1);
+  EXPECT_EQ(s.error, 0);
+  obs::SliEngine::Get().Reset();
+}
+
 TEST(ServeSloTest, DefaultSloProbesTrackServerLifetime) {
   bool ok = false;
   EXPECT_FALSE(ProbeState("slo.serve.availability", &ok, nullptr));
