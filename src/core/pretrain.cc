@@ -323,9 +323,7 @@ PretrainResult Pretrainer::Train(const Options& options) {
         }
         {
           TURL_TRACE_SCOPE("train.optimizer");
-          grad_norm =
-              double(nn::ClipGradNorm(model_->params(), cfg.grad_clip));
-          adam.Step(schedule.Scale(step));
+          grad_norm = double(adam.Step(schedule.Scale(step), cfg.grad_clip));
         }
         loss_item = loss.item();
         if (!std::isnan(mlm_item)) {
@@ -403,16 +401,14 @@ PretrainResult Pretrainer::Train(const Options& options) {
         loss_item /= double(defined_n);
         {
           TURL_TRACE_SCOPE("train.optimizer");
-          model_->params()->ZeroGrad();
           std::vector<nn::GradShard*> group_shards;
           group_shards.reserve(group);
           for (size_t s = 0; s < group; ++s) {
             group_shards.push_back(shards[s].get());
           }
-          nn::GradShard::Reduce(group_shards);
-          grad_norm =
-              double(nn::ClipGradNorm(model_->params(), cfg.grad_clip));
-          adam.Step(schedule.Scale(step));
+          // Overwrites every gradient with the shards' fixed-order sum.
+          grad_norm = double(
+              adam.Step(schedule.Scale(step), cfg.grad_clip, group_shards));
         }
       }
       obs::RecordTrainHealth("pretrain", step + 1, loss_item, grad_norm,

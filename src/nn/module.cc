@@ -141,24 +141,5 @@ Tensor TransformerEncoder::Forward(const Tensor& x,
   return h;
 }
 
-float ClipGradNorm(ParamStore* store, float max_norm) {
-  double total = 0.0;
-  for (auto& [name, t] : store->params()) {
-    const auto& g = t.grad_vector();
-    for (float v : g) total += double(v) * double(v);
-  }
-  const float norm = static_cast<float>(std::sqrt(total));
-  if (norm > max_norm && norm > 0.f) {
-    const float scale = max_norm / norm;
-    for (auto& [name, t] : store->params()) {
-      Tensor tt = t;
-      if (!tt.has_grad()) continue;
-      float* g = tt.grad();
-      for (int64_t i = 0; i < tt.numel(); ++i) g[i] *= scale;
-    }
-  }
-  return norm;
-}
-
 }  // namespace nn
 }  // namespace turl

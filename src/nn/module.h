@@ -138,10 +138,6 @@ class TransformerEncoder {
   std::vector<TransformerLayer> layers_;
 };
 
-/// Sums parameter gradient squared norms and, if the global norm exceeds
-/// `max_norm`, rescales every gradient in place. Returns the pre-clip norm.
-float ClipGradNorm(ParamStore* store, float max_norm);
-
 }  // namespace nn
 }  // namespace turl
 

@@ -81,6 +81,7 @@ Tensor Add(const Tensor& a, const Tensor& b) {
   for (size_t i = 0; i < sz; ++i) out[i] = ad[i] + bd[i];
   auto pa = a.impl(), pb = b.impl();
   return MakeNode(a.shape(), std::move(out), {pa, pb}, [pa, pb](TensorImpl* o) {
+    TURL_TRACE_SCOPE("op.add.backward");
     const float* g = o->grad.data();
     float* ga = GradOf(pa.get());
     float* gb = GradOf(pb.get());
@@ -100,6 +101,7 @@ Tensor Sub(const Tensor& a, const Tensor& b) {
   for (size_t i = 0; i < sz; ++i) out[i] = ad[i] - bd[i];
   auto pa = a.impl(), pb = b.impl();
   return MakeNode(a.shape(), std::move(out), {pa, pb}, [pa, pb](TensorImpl* o) {
+    TURL_TRACE_SCOPE("op.sub.backward");
     const float* g = o->grad.data();
     float* ga = GradOf(pa.get());
     float* gb = GradOf(pb.get());
@@ -119,6 +121,7 @@ Tensor Mul(const Tensor& a, const Tensor& b) {
   for (size_t i = 0; i < sz; ++i) out[i] = ad[i] * bd[i];
   auto pa = a.impl(), pb = b.impl();
   return MakeNode(a.shape(), std::move(out), {pa, pb}, [pa, pb](TensorImpl* o) {
+    TURL_TRACE_SCOPE("op.mul.backward");
     const float* g = o->grad.data();
     float* ga = GradOf(pa.get());
     float* gb = GradOf(pb.get());
@@ -159,6 +162,7 @@ Tensor AddBias(const Tensor& x, const Tensor& b) {
   auto px = x.impl(), pb = b.impl();
   return MakeNode(x.shape(), std::move(out), {px, pb},
                   [px, pb, m, n](TensorImpl* o) {
+                    TURL_TRACE_SCOPE("op.add_bias.backward");
                     const float* g = o->grad.data();
                     float* gx = GradOf(px.get());
                     float* gb = GradOf(pb.get());
@@ -233,6 +237,7 @@ Tensor ActivationOp(const Tensor& x, kernels::Act act) {
                              static_cast<int64_t>(sz));
   auto px = x.impl();
   return MakeNode(x.shape(), std::move(out), {px}, [px, act](TensorImpl* o) {
+    TURL_TRACE_SCOPE("op.activation.backward");
     kernels::ActivationBackward(act, px->data.data(), o->data.data(),
                                 o->grad.data(), GradOf(px.get()),
                                 static_cast<int64_t>(o->data.size()));
@@ -328,6 +333,7 @@ Tensor ConcatCols(const Tensor& a, const Tensor& b) {
   auto pa = a.impl(), pb = b.impl();
   return MakeNode({m, p + q}, std::move(out), {pa, pb},
                   [pa, pb, m, p, q](TensorImpl* o) {
+                    TURL_TRACE_SCOPE("op.concat_cols.backward");
                     const float* g = o->grad.data();
                     float* ga = GradOf(pa.get());
                     float* gb = GradOf(pb.get());
@@ -362,6 +368,7 @@ Tensor ConcatRows(const std::vector<Tensor>& parts) {
   auto parents_copy = parents;
   return MakeNode({m, n}, std::move(out), std::move(parents),
                   [parents_copy, n](TensorImpl* o) {
+                    TURL_TRACE_SCOPE("op.concat_rows.backward");
                     const float* g = o->grad.data();
                     int64_t r = 0;
                     for (const auto& p : parents_copy) {
@@ -389,6 +396,7 @@ Tensor SelectRows(const Tensor& x, const std::vector<int>& rows) {
   }
   auto px = x.impl();
   return MakeNode({r, d}, std::move(out), {px}, [px, rows, d](TensorImpl* o) {
+    TURL_TRACE_SCOPE("op.select_rows.backward");
     const float* g = o->grad.data();
     float* gx = GradOf(px.get());
     for (size_t i = 0; i < rows.size(); ++i) {
@@ -569,6 +577,7 @@ Tensor Dropout(const Tensor& x, float p, bool training, Rng* rng) {
   }
   auto px = x.impl();
   return MakeNode(x.shape(), std::move(out), {px}, [px, mask](TensorImpl* o) {
+    TURL_TRACE_SCOPE("op.dropout.backward");
     const float* g = o->grad.data();
     float* gx = GradOf(px.get());
     const float* md2 = mask->data();

@@ -83,31 +83,11 @@ void GradShard::Reset() {
   }
 }
 
-void GradShard::Reduce(const std::vector<GradShard*>& shards) {
-  if (shards.empty()) return;
-  const size_t num_params = shards[0]->slots_.size();
-  for (const GradShard* shard : shards) {
-    TURL_CHECK_EQ(shard->slots_.size(), num_params)
-        << "shards reduce only across an identical parameter layout";
-  }
-  for (size_t p = 0; p < num_params; ++p) {
-    TensorImpl* impl = shards[0]->slots_[p].impl;
-    bool any_dirty = false;
-    for (const GradShard* shard : shards) any_dirty |= shard->slots_[p].dirty;
-    if (!any_dirty) continue;
-    if (impl->grad.empty()) impl->grad.assign(impl->data.size(), 0.f);
-    float* out = impl->grad.data();
-    const size_t n = impl->grad.size();
-    // Ascending shard order, always: whichever thread ran shard s, its
-    // contribution lands in the s-th position of this sum.
-    for (const GradShard* shard : shards) {
-      const Slot& slot = shard->slots_[p];
-      if (!slot.dirty) continue;
-      TURL_CHECK_EQ(slot.impl, impl);
-      const float* in = slot.buf.data();
-      for (size_t i = 0; i < n; ++i) out[i] += in[i];
-    }
-  }
+const float* GradShard::Touched(const TensorImpl* impl) const {
+  const auto it = index_.find(impl);
+  if (it == index_.end()) return nullptr;
+  const Slot& slot = slots_[it->second];
+  return slot.dirty ? slot.buf.data() : nullptr;
 }
 
 ScopedGradShard::ScopedGradShard(GradShard* shard) : previous_(tls_shard) {

@@ -16,7 +16,8 @@ class ThreadPool;
 namespace nn {
 
 /// Thread count for the training-side parallelism: the tape task-graph
-/// executor in Tensor::Backward and the shard fan-out in core::Pretrainer.
+/// executor in Tensor::Backward, the shard fan-out in core::Pretrainer and
+/// the optimizer sweeps in Adam::Step.
 /// Resolution: SetTrainThreads() override wins; otherwise $TURL_TRAIN_THREADS
 /// (when set and positive); otherwise 1. Unlike the kernel and session pools
 /// this defaults to *sequential* — parallel training is opt-in — but any
@@ -52,12 +53,11 @@ class GradShard {
   /// Zeroes every buffer touched since construction / the last Reset.
   void Reset();
 
-  /// Accumulates every dirty shard buffer into the real parameter grads in
-  /// a pinned order: parameters in store-registration order, and for each
-  /// parameter the shards in ascending index order — the same sums in the
-  /// same order no matter how many threads ran the shards. All shards must
-  /// share a layout (constructed from the same stores in the same order).
-  static void Reduce(const std::vector<GradShard*>& shards);
+  /// The shard-private buffer for `impl` when it was written since
+  /// construction / the last Reset; nullptr when untouched or not covered.
+  /// Adam::Step reads the shards through this, summing them into the real
+  /// gradients in ascending shard order.
+  const float* Touched(const TensorImpl* impl) const;
 
  private:
   struct Slot {

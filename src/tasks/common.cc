@@ -14,12 +14,13 @@ double FinetuneStep(
     std::initializer_list<std::pair<nn::ParamStore*, nn::Adam*>> items) {
   for (const auto& item : items) item.first->ZeroGrad();
   loss.Backward();
+  // The stores are disjoint, so clipping and stepping one store at a time
+  // gives the values clipping every store first would.
   double norm_sq = 0.0;
   for (const auto& item : items) {
-    const double g = double(nn::ClipGradNorm(item.first, grad_clip));
+    const double g = double(item.second->Step(1.f, grad_clip));
     norm_sq += g * g;
   }
-  for (const auto& item : items) item.second->Step();
   return std::sqrt(norm_sq);
 }
 

@@ -121,11 +121,11 @@ class FinetuneCheckpointer {
 /// One fine-tune optimizer step shared by the task heads: zeroes every
 /// store's gradients, backpropagates `loss` (on the TURL_TRAIN_THREADS
 /// task-graph tape executor when that is > 1 — bit-identical to the
-/// sequential tape at any thread count, see DESIGN.md §13), clips each
-/// store's gradient norm to `grad_clip` separately (the historical per-store
-/// behavior), then steps each optimizer, all in the given order. Returns the
-/// Euclidean combination of the per-store pre-clip norms — the single
-/// global-health number the telemetry records.
+/// sequential tape at any thread count, see DESIGN.md §13), then for each
+/// store in the given order clips its gradient norm to `grad_clip` (per
+/// store, the historical behavior) and steps its optimizer, both inside
+/// Adam::Step. Returns the Euclidean combination of the per-store pre-clip
+/// norms — the single global-health number the telemetry records.
 double FinetuneStep(
     nn::Tensor loss, float grad_clip,
     std::initializer_list<std::pair<nn::ParamStore*, nn::Adam*>> items);

@@ -1,11 +1,13 @@
 #include <cstring>
 #include <functional>
+#include <limits>
 #include <unordered_set>
 #include <vector>
 
 #include "gtest/gtest.h"
 #include "nn/module.h"
 #include "nn/ops.h"
+#include "nn/optim.h"
 #include "nn/tensor.h"
 #include "nn/train_parallel.h"
 #include "obs/metrics.h"
@@ -239,7 +241,7 @@ TEST(BackwardParallelTest, FullyMaskedHeadSkipsCleanlyBothModes) {
 }
 
 // ---------------------------------------------------------------------------
-// GradShard: redirect + fixed-order reduction.
+// GradShard: redirect + fixed-order reduction (inside Adam::Step).
 // ---------------------------------------------------------------------------
 
 TEST(GradShardTest, RedirectCapturesLeafGradsAndReduceRestoresThem) {
@@ -276,7 +278,9 @@ TEST(GradShardTest, RedirectCapturesLeafGradsAndReduceRestoresThem) {
       ASSERT_EQ(g, 0.f) << "shard leaked into the real grad of " << name;
     }
   }
-  GradShard::Reduce({&shard_a, &shard_b});
+  // lr_scale 0 reduces the shards into the gradients and leaves the weights.
+  Adam(&store, {}).Step(0.f, std::numeric_limits<float>::infinity(),
+                        {&shard_a, &shard_b});
   ExpectGradsBitIdentical(reference, GradsOf(store));
 }
 
@@ -291,7 +295,7 @@ TEST(GradShardTest, ResetClearsOnlyDirtyBuffers) {
   }
   shard.Reset();
   store.ZeroGrad();
-  GradShard::Reduce({&shard});
+  Adam(&store, {}).Step(0.f, std::numeric_limits<float>::infinity(), {&shard});
   for (const auto& [name, t] : store.params()) {
     for (float g : t.grad_vector()) ASSERT_EQ(g, 0.f);
   }

@@ -159,29 +159,6 @@ TEST(TransformerEncoderTest, DropoutChangesTrainOutput) {
   EXPECT_GT(diffs, 0);
 }
 
-TEST(ClipGradNormTest, ScalesDownLargeGradients) {
-  ParamStore store;
-  Rng rng(12);
-  Tensor w = store.CreateNormal("w", {4}, 0.1f, &rng);
-  float d[] = {3.f, 0.f, 4.f, 0.f};  // Norm 5.
-  w.AccumulateGrad(d, 4);
-  float norm = ClipGradNorm(&store, 1.f);
-  EXPECT_NEAR(norm, 5.f, 1e-5f);
-  EXPECT_NEAR(w.grad_vector()[0], 0.6f, 1e-5f);
-  EXPECT_NEAR(w.grad_vector()[2], 0.8f, 1e-5f);
-}
-
-TEST(ClipGradNormTest, LeavesSmallGradientsAlone) {
-  ParamStore store;
-  Rng rng(13);
-  Tensor w = store.CreateNormal("w", {2}, 0.1f, &rng);
-  float d[] = {0.3f, 0.4f};
-  w.AccumulateGrad(d, 2);
-  ClipGradNorm(&store, 10.f);
-  EXPECT_FLOAT_EQ(w.grad_vector()[0], 0.3f);
-  EXPECT_FLOAT_EQ(w.grad_vector()[1], 0.4f);
-}
-
 }  // namespace
 }  // namespace nn
 }  // namespace turl

@@ -1,9 +1,14 @@
 #include "nn/optim.h"
 
 #include <cmath>
+#include <cstring>
+#include <limits>
+#include <vector>
 
 #include "gtest/gtest.h"
 #include "nn/ops.h"
+#include "nn/train_parallel.h"
+#include "util/rng.h"
 
 namespace turl {
 namespace nn {
@@ -155,6 +160,182 @@ TEST(AdamTest, BiasCorrectionStaysExactAtLargeStepCounts) {
     // Same association as Adam::Step: (lr * mhat) / (sqrt(vhat) + eps).
     const float expected = 2.f - cfg.lr * m_hat / (std::sqrt(v_hat) + cfg.eps);
     EXPECT_EQ(w.at(int64_t(i)), expected) << "element " << i;
+  }
+}
+
+TEST(AdamClipTest, ScalesDownLargeGradients) {
+  ParamStore store;
+  Rng rng(12);
+  Tensor w = store.CreateNormal("w", {4}, 0.1f, &rng);
+  float d[] = {3.f, 0.f, 4.f, 0.f};  // Norm 5.
+  w.AccumulateGrad(d, 4);
+  float norm = Adam(&store, {}).Step(0.f, 1.f);
+  EXPECT_NEAR(norm, 5.f, 1e-5f);
+  EXPECT_NEAR(w.grad_vector()[0], 0.6f, 1e-5f);
+  EXPECT_NEAR(w.grad_vector()[2], 0.8f, 1e-5f);
+}
+
+TEST(AdamClipTest, LeavesSmallGradientsAlone) {
+  ParamStore store;
+  Rng rng(13);
+  Tensor w = store.CreateNormal("w", {2}, 0.1f, &rng);
+  float d[] = {0.3f, 0.4f};
+  w.AccumulateGrad(d, 2);
+  Adam(&store, {}).Step(0.f, 10.f);
+  EXPECT_FLOAT_EQ(w.grad_vector()[0], 0.3f);
+  EXPECT_FLOAT_EQ(w.grad_vector()[1], 0.4f);
+}
+
+/// Weights, gradients and moments of every parameter, in store order.
+struct OptimState {
+  std::vector<std::vector<float>> w, g, m, v;
+};
+
+/// The optimizer as three scalar passes: one sequential double sum for the
+/// norm, a clip pass, then Adam element by element.
+float ReferenceStep(const AdamConfig& cfg, int64_t step, float lr_scale,
+                    float max_norm, OptimState* s) {
+  double total = 0.0;
+  for (const auto& g : s->g) {
+    for (float x : g) total += double(x) * double(x);
+  }
+  const float norm = static_cast<float>(std::sqrt(total));
+  if (norm > max_norm && norm > 0.f) {
+    const float scale = max_norm / norm;
+    for (auto& g : s->g) {
+      for (float& x : g) x *= scale;
+    }
+  }
+  const float lr = cfg.lr * lr_scale;
+  const float bc1 = float(1.0 - std::pow(double(cfg.beta1), double(step)));
+  const float bc2 = float(1.0 - std::pow(double(cfg.beta2), double(step)));
+  for (size_t p = 0; p < s->w.size(); ++p) {
+    for (size_t i = 0; i < s->w[p].size(); ++i) {
+      float gi = s->g[p][i];
+      if (cfg.weight_decay > 0.f) gi += cfg.weight_decay * s->w[p][i];
+      float& m = s->m[p][i];
+      float& v = s->v[p][i];
+      m = cfg.beta1 * m + (1.f - cfg.beta1) * gi;
+      v = cfg.beta2 * v + (1.f - cfg.beta2) * gi * gi;
+      const float mhat = m / bc1;
+      const float vhat = v / bc2;
+      s->w[p][i] -= lr * mhat / (std::sqrt(vhat) + cfg.eps);
+    }
+  }
+  return norm;
+}
+
+void ExpectBitIdentical(const std::vector<std::vector<float>>& a,
+                        const std::vector<std::vector<float>>& b,
+                        const char* what) {
+  ASSERT_EQ(a.size(), b.size()) << what;
+  for (size_t p = 0; p < a.size(); ++p) {
+    ASSERT_EQ(a[p].size(), b[p].size()) << what << " of param " << p;
+    EXPECT_EQ(std::memcmp(a[p].data(), b[p].data(),
+                          a[p].size() * sizeof(float)),
+              0)
+        << what << " of param " << p << " differ bitwise";
+  }
+}
+
+TEST(AdamTest, StepMatchesScalarReferenceAtAnyThreadCount) {
+  // 40001 elements make three chunks, the last ragged (and not a multiple of
+  // the 8 norm lanes); 3x5 is one short chunk.
+  ASSERT_EQ(Adam::kChunkElems, 16384);
+  const float kInf = std::numeric_limits<float>::infinity();
+  for (const float max_norm : {kInf, 1.f}) {
+    for (const float weight_decay : {0.f, 0.01f}) {
+      const AdamConfig cfg{.lr = 0.01f, .weight_decay = weight_decay};
+      for (const int threads : {1, 4}) {
+        SCOPED_TRACE(testing::Message() << "max_norm " << max_norm << " wd "
+                                        << weight_decay << " threads "
+                                        << threads);
+        SetTrainThreads(threads);
+        ParamStore store;
+        Rng init(5);
+        store.CreateNormal("big", {40001}, 0.5f, &init);
+        store.CreateNormal("small", {3, 5}, 0.5f, &init);
+        Adam adam(&store, cfg);
+        OptimState ref;
+        for (const auto& [name, t] : store.params()) {
+          ref.w.push_back(t.ToVector());
+          ref.m.emplace_back(size_t(t.numel()), 0.f);
+          ref.v.emplace_back(size_t(t.numel()), 0.f);
+        }
+        Rng grads(6);
+        for (int64_t step = 1; step <= 3; ++step) {
+          ref.g.clear();
+          for (const auto& [name, t] : store.params()) {
+            std::vector<float> g(size_t(t.numel()));
+            for (float& x : g) x = grads.UniformFloat(-1.f, 1.f);
+            t.impl()->grad = g;
+            ref.g.push_back(std::move(g));
+          }
+          const float ref_norm =
+              ReferenceStep(cfg, step, 0.75f, max_norm, &ref);
+          const float norm = adam.Step(0.75f, max_norm);
+          EXPECT_EQ(std::memcmp(&norm, &ref_norm, sizeof(float)), 0)
+              << "step " << step << ": " << norm << " vs " << ref_norm;
+          OptimState got;
+          for (const auto& [name, t] : store.params()) {
+            got.w.push_back(t.ToVector());
+            got.g.push_back(t.grad_vector());
+          }
+          got.m = adam.first_moments();
+          got.v = adam.second_moments();
+          ExpectBitIdentical(ref.w, got.w, "weights");
+          ExpectBitIdentical(ref.g, got.g, "gradients");
+          ExpectBitIdentical(ref.m, got.m, "first moments");
+          ExpectBitIdentical(ref.v, got.v, "second moments");
+        }
+      }
+    }
+  }
+  SetTrainThreads(1);
+}
+
+TEST(AdamTest, ShardedStepZeroesUntouchedParamsAndMovesThemByMoments) {
+  ParamStore store;
+  Tensor used = store.CreateFull("used", {3}, 1.f);
+  Tensor untouched = store.CreateFull("untouched", {2}, 1.f);
+  Tensor fresh = store.CreateFull("fresh", {2}, 1.f);
+  Adam adam(&store, AdamConfig{.lr = 0.1f});
+  // A first plain step gives `untouched` moments; `fresh` never has a grad.
+  used.ZeroGrad();
+  untouched.ZeroGrad();
+  Add(SumAll(Mul(used, used)), SumAll(Mul(untouched, untouched))).Backward();
+  fresh.impl()->grad.clear();
+  adam.Step();
+  ASSERT_TRUE(fresh.impl()->grad.empty());
+  const std::vector<float> used_before = used.ToVector();
+  const std::vector<float> untouched_before = untouched.ToVector();
+
+  GradShard shard({&store});
+  {
+    ScopedGradShard guard(&shard);
+    SumAll(Mul(used, used)).Backward();
+  }
+  // Stale values: the sharded step overwrites every gradient.
+  used.impl()->grad.assign(3, 7.f);
+  untouched.impl()->grad.assign(2, 7.f);
+  adam.Step(1.f, std::numeric_limits<float>::infinity(), {&shard});
+
+  const float* buf = shard.Touched(used.impl().get());
+  ASSERT_NE(buf, nullptr);
+  EXPECT_EQ(shard.Touched(untouched.impl().get()), nullptr);
+  for (int64_t i = 0; i < 3; ++i) {
+    EXPECT_EQ(used.grad_vector()[size_t(i)], 0.f + buf[i]);
+    EXPECT_NE(used.at(i), used_before[size_t(i)]);
+  }
+  for (int64_t i = 0; i < 2; ++i) {
+    const float g = untouched.grad_vector()[size_t(i)];
+    EXPECT_EQ(g, 0.f);
+    EXPECT_FALSE(std::signbit(g));
+    // Zero gradient, but the first step's moments still move the weight.
+    EXPECT_LT(untouched.at(i), untouched_before[size_t(i)]);
+    ASSERT_EQ(fresh.grad_vector().size(), 2u);
+    EXPECT_EQ(fresh.grad_vector()[size_t(i)], 0.f);
+    EXPECT_EQ(fresh.at(i), 1.f);  // No moments yet: 0 / (0 + eps).
   }
 }
 
