@@ -1,6 +1,8 @@
 #include "core/model.h"
 
 #include <algorithm>
+#include <optional>
+#include <string>
 
 #include "core/visibility.h"
 #include "nn/kernels/arena.h"
@@ -10,6 +12,29 @@
 
 namespace turl {
 namespace core {
+
+namespace {
+
+/// ValidateInput's bound on EncodedTable::total(). A forward builds n x n
+/// float buffers (the visibility mask, the attention scores), and at 4096
+/// elements each one is already 64 MiB.
+constexpr size_t kMaxInputElements = 4096;
+
+/// ValidateInput's error: "field[i] = value why".
+Status Bad(const char* field, size_t i, int value, const char* why) {
+  return Status::InvalidArgument(std::string(field) + "[" +
+                                 std::to_string(i) + "] = " +
+                                 std::to_string(value) + " " + why);
+}
+
+bool InRange(int value, int lo, int hi) { return value >= lo && value < hi; }
+
+/// A row or column is -1 where the element has none, and >= 0 where it has.
+bool CoordinateFits(int value, bool has_coordinate) {
+  return has_coordinate ? value >= 0 : value == -1;
+}
+
+}  // namespace
 
 TurlModel::TurlModel(const TurlConfig& config, int word_vocab_size,
                      int entity_vocab_size, uint64_t seed)
@@ -53,8 +78,11 @@ nn::Tensor TurlModel::Encode(const EncodedTable& input, bool training,
   encodes->Inc();
   // All intermediates built while encoding lease their buffers from the
   // per-thread kernel arena; they recycle when the tape is severed, so a
-  // steady-state step does O(1) fresh heap allocations.
+  // steady-state step does O(1) fresh heap allocations. Inference records
+  // no tape, so there each one recycles as soon as the next op consumed it.
   nn::kernels::ArenaScope arena;
+  std::optional<nn::NoGradScope> no_grad;
+  if (!training) no_grad.emplace();
   std::vector<nn::Tensor> parts;
 
   if (input.num_tokens() > 0) {
@@ -89,6 +117,59 @@ nn::Tensor TurlModel::Encode(const EncodedTable& input, bool training,
   }
   TURL_TRACE_SCOPE("model.encoder_stack");
   return encoder_->Forward(x, mask, config_.dropout, training, rng);
+}
+
+Status TurlModel::ValidateInput(const EncodedTable& input) const {
+  const size_t nt = input.token_ids.size();
+  const size_t ne = input.entity_ids.size();
+  if (input.token_segment.size() != nt || input.token_position.size() != nt ||
+      input.token_column.size() != nt || input.entity_role.size() != ne ||
+      input.entity_row.size() != ne || input.entity_column.size() != ne ||
+      input.entity_mentions.size() != ne) {
+    return Status::InvalidArgument("element arrays disagree in length");
+  }
+  if (nt + ne == 0) return Status::InvalidArgument("empty table");
+  if (nt + ne > kMaxInputElements) {
+    return Status::InvalidArgument(
+        std::to_string(nt + ne) + " elements exceed the bound of " +
+        std::to_string(kMaxInputElements));
+  }
+  for (size_t i = 0; i < nt; ++i) {
+    const int segment = input.token_segment[i];
+    if (!InRange(input.token_ids[i], 0, word_vocab_size_)) {
+      return Bad("token_ids", i, input.token_ids[i], "is not a word id");
+    }
+    if (!InRange(segment, 0, 2)) {
+      return Bad("token_segment", i, segment, "is not 0 or 1");
+    }
+    if (input.token_position[i] < 0) {
+      return Bad("token_position", i, input.token_position[i], "is negative");
+    }
+    if (!CoordinateFits(input.token_column[i], segment == kSegmentHeader)) {
+      return Bad("token_column", i, input.token_column[i],
+                 "does not fit the segment");
+    }
+  }
+  for (size_t i = 0; i < ne; ++i) {
+    const int role = input.entity_role[i];
+    if (!InRange(input.entity_ids[i], 0, entity_vocab_size_)) {
+      return Bad("entity_ids", i, input.entity_ids[i], "is not an entity id");
+    }
+    if (!InRange(role, 0, 3)) return Bad("entity_role", i, role, "is not 0-2");
+    if (!CoordinateFits(input.entity_row[i], role != kRoleTopic)) {
+      return Bad("entity_row", i, input.entity_row[i], "does not fit the role");
+    }
+    if (!CoordinateFits(input.entity_column[i], role != kRoleTopic)) {
+      return Bad("entity_column", i, input.entity_column[i],
+                 "does not fit the role");
+    }
+    for (int id : input.entity_mentions[i]) {
+      if (!InRange(id, 0, word_vocab_size_)) {
+        return Bad("entity_mentions", i, id, "is not a word id");
+      }
+    }
+  }
+  return Status::OK();
 }
 
 nn::Tensor TurlModel::MlmLogits(const nn::Tensor& hidden,

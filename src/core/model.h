@@ -10,19 +10,22 @@
 #include "nn/module.h"
 #include "nn/ops.h"
 #include "util/rng.h"
+#include "util/status.h"
 
 namespace turl {
 namespace core {
 
 /// Which implementation a scoring call (MlmLogits / MerLogits) takes.
 ///
-/// kTrain builds the fp32 MatMul on the autograd tape — always safe, the
-/// default, and required whenever gradients flow through the logits.
-/// kServe declares the call inference-only: when TURL_QUANT_SCORING=1 the
-/// vocabulary/candidate dot products run against a cached per-row int8
-/// quantization of the embedding table and the result is a leaf tensor with
-/// no tape behind it. With the knob off (default), kServe is identical to
-/// kTrain, so callers can pass it unconditionally on inference paths.
+/// kTrain runs the fp32 MatMul — always safe, the default, and required
+/// whenever gradients flow through the logits. Whether it records a tape is
+/// up to the caller: not inside an nn::NoGradScope (which every inference
+/// path opens), yes otherwise. kServe declares the call inference-only:
+/// when TURL_QUANT_SCORING=1 the vocabulary/candidate dot products run
+/// against a cached per-row int8 quantization of the embedding table and
+/// the result is a leaf tensor with no tape behind it. With the knob off
+/// (default), kServe is identical to kTrain, so callers can pass it
+/// unconditionally on inference paths.
 enum class Scoring {
   kTrain,
   kServe,
@@ -46,7 +49,10 @@ class TurlModel {
 
   /// Runs the embedding layer + encoder; returns contextualized
   /// representations [input.total(), d_model]. Token rows come first, then
-  /// entity rows (row of entity i = input.num_tokens() + i).
+  /// entity rows (row of entity i = input.num_tokens() + i). With
+  /// `training` false the forward runs inside an nn::NoGradScope: it records
+  /// no tape, and the result is bit-identical to a training forward with
+  /// dropout 0 but cannot be backpropagated.
   ///
   /// Thread-safety / Rng contract: Encode never mutates the model — all
   /// randomness (dropout) is drawn from the caller-provided `rng`, so
@@ -56,6 +62,16 @@ class TurlModel {
   /// checked fatal error.
   nn::Tensor Encode(const EncodedTable& input, bool training,
                     Rng* rng = nullptr) const;
+
+  /// Checks that `input` fits this model, for tables that arrive from
+  /// outside the process (the serve protocol): sibling arrays agree in
+  /// length; token and mention ids are in [0, word_vocab); segments are 0
+  /// or 1 and positions >= 0; entity ids are in [0, entity_vocab) and roles
+  /// in [0, 3); a header token's column and a cell's row and column are
+  /// >= 0, and -1 where the element has none (caption token, topic
+  /// entity); and 0 < total() <= 4096, which bounds each n x n buffer of a
+  /// forward at 64 MiB. Encode's own checks abort the process instead.
+  Status ValidateInput(const EncodedTable& input) const;
 
   /// Hidden-state row of entity element `entity_index`.
   static int EntityHiddenRow(const EncodedTable& input, int entity_index) {

@@ -308,9 +308,13 @@ PretrainResult Pretrainer::Train(const Options& options) {
           step_trace.Annotate("step", step);
           step_trace.Annotate("total", int64_t(clean.total()));
         }
-        PretrainInstance instance = MakePretrainInstance(
-            clean, cfg, model_->word_vocab_size(), model_->entity_vocab_size(),
-            &rng);
+        PretrainInstance instance;
+        {
+          TURL_TRACE_SCOPE("train.make_instance");
+          instance = MakePretrainInstance(clean, cfg,
+                                          model_->word_vocab_size(),
+                                          model_->entity_vocab_size(), &rng);
+        }
         double mlm_item = std::numeric_limits<double>::quiet_NaN();
         double mer_item = std::numeric_limits<double>::quiet_NaN();
         nn::Tensor loss =
@@ -354,7 +358,11 @@ PretrainResult Pretrainer::Train(const Options& options) {
         std::vector<ShardOut> outs(group);
         const auto run_shard = [&](int64_t s) {
           nn::GradShard* shard = shards[size_t(s)].get();
-          shard->Reset();  // Before any early-out: stale dirt must not reduce.
+          {
+            // Before any early-out: stale dirt must not reduce.
+            TURL_TRACE_SCOPE("train.shard_reset");
+            shard->Reset();
+          }
           const EncodedTable& clean = train_encoded_[order[oi + size_t(s)]];
           if (clean.total() == 0) return;
           nn::ScopedGradShard guard(shard);
@@ -362,9 +370,14 @@ PretrainResult Pretrainer::Train(const Options& options) {
           // on the main RNG, the thread, or the schedule — so every thread
           // count replays the identical instance sequence.
           Rng shard_rng(nn::ShardStreamSeed(options.seed, step, s));
-          PretrainInstance instance = MakePretrainInstance(
-              clean, cfg, model_->word_vocab_size(),
-              model_->entity_vocab_size(), &shard_rng);
+          PretrainInstance instance;
+          {
+            TURL_TRACE_SCOPE("train.make_instance");
+            instance = MakePretrainInstance(clean, cfg,
+                                            model_->word_vocab_size(),
+                                            model_->entity_vocab_size(),
+                                            &shard_rng);
+          }
           ShardOut& out = outs[size_t(s)];
           nn::Tensor loss =
               InstanceLoss(instance, clean, &shard_rng, &out.mlm, &out.mer);

@@ -22,7 +22,9 @@ namespace kernels {
 ///  - A pooled impl returns its buffers to the pool of whichever thread
 ///    destroys it — typically when Tensor::Backward(release_graph=true)
 ///    severs the tape and the intermediates die, or when the caller drops
-///    the last tensor holding the graph.
+///    the last tensor holding the graph. Inside an nn::NoGradScope no tape
+///    holds an intermediate: it dies, mid-forward, as soon as the next op
+///    has consumed it.
 ///  - Pools are thread-local: no locks on the hot path. A buffer leased on
 ///    one thread and recycled on another simply migrates; per-class and
 ///    total-byte caps keep any pool bounded.

@@ -49,17 +49,23 @@ float* GradOf(TensorImpl* t) {
 /// closure receives the raw output impl pointer (owned by the node itself, so
 /// no reference cycle) and must accumulate into the parents' grads. Nodes
 /// built inside a kernels::ArenaScope are marked pooled: their buffers return
-/// to the per-thread arena when the node is destroyed.
+/// to the per-thread arena when the node is destroyed. Inside a NoGradScope
+/// the node is marked tape_free and keeps neither: `parents` and `fn`, with
+/// everything the closure captured, die when this returns.
+template <typename Fn>
 Tensor MakeNode(Shape shape, std::vector<float> data,
-                std::vector<std::shared_ptr<TensorImpl>> parents,
-                std::function<void(TensorImpl*)> fn) {
+                std::vector<std::shared_ptr<TensorImpl>> parents, Fn&& fn) {
   auto impl = std::make_shared<TensorImpl>();
   impl->shape = std::move(shape);
   impl->data = std::move(data);
-  impl->parents = std::move(parents);
   impl->pooled = kernels::ArenaActive();
-  TensorImpl* raw = impl.get();
-  impl->backward_fn = [raw, f = std::move(fn)]() { f(raw); };
+  if (NoGradScope::Active()) {
+    impl->tape_free = true;
+  } else {
+    impl->parents = std::move(parents);
+    TensorImpl* raw = impl.get();
+    impl->backward_fn = [raw, f = std::forward<Fn>(fn)]() { f(raw); };
+  }
   return Tensor::FromImpl(std::move(impl));
 }
 
@@ -142,6 +148,7 @@ Tensor Scale(const Tensor& a, float s) {
   for (size_t i = 0; i < sz; ++i) out[i] = ad[i] * s;
   auto pa = a.impl();
   return MakeNode(a.shape(), std::move(out), {pa}, [pa, s](TensorImpl* o) {
+    TURL_TRACE_SCOPE("op.scale.backward");
     const float* g = o->grad.data();
     float* ga = GradOf(pa.get());
     for (size_t i = 0; i < o->data.size(); ++i) ga[i] += s * g[i];
@@ -425,6 +432,7 @@ Tensor RowsMean(const Tensor& x, const std::vector<int>& rows) {
   auto px = x.impl();
   return MakeNode({1, d}, std::move(out), {px},
                   [px, rows, d, inv](TensorImpl* o) {
+                    TURL_TRACE_SCOPE("op.rows_mean.backward");
                     const float* g = o->grad.data();
                     float* gx = GradOf(px.get());
                     for (int row : rows) {
@@ -508,15 +516,18 @@ Tensor MultiHeadAttention(const Tensor& q, const Tensor& k, const Tensor& v,
   // scores = Q_h K_h^T via a strided GemmNT that addresses the head's
   // column slice directly, fused mask+scale+softmax epilogue, then
   // out_h = P V_h via a strided GemmNN writing the head's output slice.
+  // With no tape to keep them for, every head reuses one n x n buffer:
+  // GemmNT overwrites it (accumulate=false) before the head reads it.
+  const bool taped = !NoGradScope::Active();
   auto probs = std::make_shared<kernels::PooledBuffer>(
-      size_t(num_heads) * size_t(n * n), /*zero=*/false);
+      size_t(taped ? num_heads : 1) * size_t(n * n), /*zero=*/false);
   std::vector<float> out = kernels::AllocBuffer(size_t(n * d), /*zero=*/false);
   const float* qd = q.data();
   const float* kd = k.data();
   const float* vd = v.data();
 
   for (int h = 0; h < num_heads; ++h) {
-    float* p = probs->data() + int64_t(h) * n * n;
+    float* p = probs->data() + (taped ? int64_t(h) * n * n : 0);
     const int64_t off = int64_t(h) * dh;
     kernels::GemmNT(n, n, dh, qd + off, d, kd + off, d, p, n,
                     /*accumulate=*/false);
@@ -647,6 +658,7 @@ Tensor BceWithLogits(const Tensor& logits, const std::vector<float>& targets) {
   auto pl = logits.impl();
   return MakeNode({1}, {float(loss) * inv}, {pl},
                   [pl, targets, n, inv](TensorImpl* o) {
+                    TURL_TRACE_SCOPE("op.bce.backward");
                     const float go = o->grad[0];
                     float* gl = GradOf(pl.get());
                     const float* z2 = pl->data.data();
@@ -663,6 +675,7 @@ Tensor SumAll(const Tensor& x) {
   for (float v : x.impl()->data) s += v;
   auto px = x.impl();
   return MakeNode({1}, {float(s)}, {px}, [px](TensorImpl* o) {
+    TURL_TRACE_SCOPE("op.sum_all.backward");
     const float go = o->grad[0];
     float* gx = GradOf(px.get());
     for (size_t i = 0; i < px->data.size(); ++i) gx[i] += go;

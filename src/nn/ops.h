@@ -9,10 +9,12 @@
 namespace turl {
 namespace nn {
 
-/// Differentiable operations. Every op validates shapes with TURL_CHECK,
-/// returns a fresh tensor wired into the autograd DAG, and accumulates
-/// gradients into its inputs during Tensor::Backward(). Tensors are rank-2
-/// matrices [rows, cols] unless stated otherwise; scalars are shape [1].
+/// Differentiable operations. Every op validates shapes with TURL_CHECK and
+/// returns a fresh tensor. Outside a NoGradScope that tensor is wired into
+/// the autograd DAG and the op accumulates gradients into its inputs during
+/// Tensor::Backward(); inside one it records no tape (see NoGradScope in
+/// tensor.h). Tensors are rank-2 matrices [rows, cols] unless stated
+/// otherwise; scalars are shape [1].
 
 /// Elementwise a + b (same shape).
 Tensor Add(const Tensor& a, const Tensor& b);

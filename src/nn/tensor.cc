@@ -214,6 +214,9 @@ void Tensor::AccumulateGrad(const float* delta, int64_t n) {
 
 void Tensor::Backward(bool release_graph) {
   TURL_CHECK(defined());
+  TURL_CHECK(!impl_->tape_free)
+      << "Backward() on a result built inside nn::NoGradScope, which "
+         "recorded no tape";
   TURL_CHECK_EQ(numel(), 1);
   TURL_TRACE_SCOPE("autograd.backward");
   static obs::Counter* backward_calls =

@@ -44,16 +44,42 @@ struct TensorImpl {
   /// node was built inside a kernels::ArenaScope); the destructor then
   /// returns both buffers to the pool for reuse by the next step.
   bool pooled = false;
+  /// True when the node was built inside a NoGradScope: it has no parents
+  /// and no backward_fn, and Backward() from it is a checked failure.
+  bool tape_free = false;
 
   ~TensorImpl();
 };
 
+/// RAII scope inside which ops record no autograd tape: their results
+/// carry no parents and no backward closure, so every intermediate frees,
+/// back into this thread's arena, as soon as the next op has consumed it.
+/// The forward math is unchanged. Thread-local (a pool worker does not
+/// inherit its caller's scope); scopes nest, and ops record again once the
+/// outermost one closes. Inference opens it: TurlModel::Encode with
+/// training=false and the score stage of rt::BulkRun.
+class NoGradScope {
+ public:
+  NoGradScope() { ++depth_; }
+  ~NoGradScope() { --depth_; }
+  NoGradScope(const NoGradScope&) = delete;
+  NoGradScope& operator=(const NoGradScope&) = delete;
+
+  /// True while at least one NoGradScope is alive on this thread.
+  static bool Active() { return depth_ > 0; }
+
+ private:
+  static inline thread_local int depth_ = 0;
+};
+
 /// A reference-counted, row-major float32 tensor with reverse-mode autograd.
 ///
-/// Copying a Tensor is cheap (shared impl). Ops (see ops.h) return new
-/// tensors wired into an autograd DAG; calling Backward() on a scalar result
-/// runs reverse-mode differentiation and accumulates gradients into every
-/// reachable tensor with requires_grad set (directly or transitively).
+/// Copying a Tensor is cheap (shared impl). Outside a NoGradScope, ops (see
+/// ops.h) return new tensors wired into an autograd DAG; calling Backward()
+/// on a scalar result runs reverse-mode differentiation and accumulates
+/// gradients into every reachable tensor with requires_grad set (directly
+/// or transitively). Inside a NoGradScope they return tape-free results,
+/// which later ops treat as constants (as after Detach()).
 ///
 /// The tape is the DAG itself: it is freed when the result tensors holding
 /// it are destroyed. Backward() optionally severs graph edges afterwards to
@@ -114,7 +140,9 @@ class Tensor {
   /// invokes each node's backward function exactly once. When
   /// `release_graph` is true (default), parent edges and closures of
   /// interior nodes are cleared afterwards so intermediate buffers free as
-  /// soon as the caller drops its tensors.
+  /// soon as the caller drops its tensors. A result built inside a
+  /// NoGradScope has no tape to run: calling this on it is a checked fatal
+  /// error.
   void Backward(bool release_graph = true);
 
   /// Detaches from the autograd graph: returns a tensor sharing storage but

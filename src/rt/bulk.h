@@ -4,6 +4,7 @@
 #include <functional>
 #include <vector>
 
+#include "nn/tensor.h"
 #include "obs/trace.h"
 #include "rt/batch_scheduler.h"
 #include "rt/inference_session.h"
@@ -20,6 +21,10 @@ namespace rt {
 /// Results are indexed by instance, so the output is identical to the
 /// sequential loop `for i: score_fn(i, encode_fn(i), session.Encode(...))`
 /// for any worker count or batch composition.
+///
+/// Nothing here records an autograd tape: the forward stage runs
+/// TurlModel::Encode(training=false), and each score_fn call runs inside an
+/// nn::NoGradScope opened on the worker that makes it.
 ///
 /// Tracing: each instance is one request. BulkRun opens the per-instance
 /// root span ("rt.request", sampled) around all three stages, so a traced
@@ -78,6 +83,7 @@ std::vector<R> BulkRun(
       0, static_cast<int64_t>(n), /*grain=*/1, [&](int64_t i) {
         obs::TraceContextScope scope(tracing ? traces[size_t(i)]
                                              : obs::TraceContext());
+        nn::NoGradScope no_grad;  // Thread-local: open it on this worker.
         out[size_t(i)] =
             score_fn(size_t(i), encoded[size_t(i)], hidden[size_t(i)]);
         if (tracing) obs::Tracer::Get().End(&roots[size_t(i)]);

@@ -305,13 +305,18 @@ bool ServeServer::ServeOneFrame(int fd) {
   core::EncodedTable table;
   const Status decoded =
       DecodeRequestPayload(payload.data(), payload.size(), &table);
-  if (!decoded.ok() || table.total() <= 0) {
+  const Status valid = decoded.ok() ? model_.ValidateInput(table) : decoded;
+  if (!valid.ok()) {
     BadFrameCounter()->Inc();
     response.status = rt::ResponseStatus::kBadRequest;
-    response.message = decoded.ok() ? "empty table" : decoded.ToString();
-    WriteResponse(fd, response, &event.bytes_out);
+    response.message = valid.ToString();
+    const bool written = WriteResponse(fd, response, &event.bytes_out);
     finish_event(rt::ResponseStatus::kBadRequest);
-    return false;
+    // A payload that does not decode fails the connection. One that decodes
+    // but does not fit the model (an id past its embedding table, more
+    // elements than the n x n bound) would abort the process in Encode:
+    // only the request is refused, and the connection stays open.
+    return decoded.ok() && written;
   }
   RequestCounter()->Inc();
 

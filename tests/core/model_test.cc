@@ -8,6 +8,7 @@
 #include "core/pretrain.h"
 #include "gtest/gtest.h"
 #include <cstdio>
+#include <cstring>
 
 #include "nn/checkpoint.h"
 
@@ -108,6 +109,69 @@ TEST(TurlModelTest, VisibilityMatrixChangesOutput) {
     diffs += std::abs(a.at(i) - b.at(i)) > 1e-6f;
   }
   EXPECT_GT(diffs, 0);
+}
+
+// Inference records no tape and runs every attention head through one
+// n x n buffer; neither may move a bit. With dropout 0 a training forward
+// runs the same kernels on the same inputs, so the two match by memcmp.
+TEST(TurlModelTest, TapeFreeEncodeIsBitIdenticalToTrainingEncode) {
+  const text::WordPieceTokenizer tok = Ctx().MakeTokenizer();
+  const data::Table& table = Ctx().corpus.tables[Ctx().corpus.train[0]];
+  EncodeOptions tokens_only;
+  tokens_only.include_entities = false;
+  tokens_only.include_topic_entity = false;
+  EncodeOptions entities_only;
+  entities_only.include_metadata = false;
+  const std::vector<EncodedTable> inputs = {
+      EncodeTable(table, tok, Ctx().entity_vocab),
+      EncodeTable(table, tok, Ctx().entity_vocab, tokens_only),
+      EncodeTable(table, tok, Ctx().entity_vocab, entities_only)};
+  ASSERT_GT(inputs[0].num_tokens(), 0);
+  ASSERT_GT(inputs[0].num_entities(), 0);
+  ASSERT_EQ(inputs[1].num_entities(), 0);
+  ASSERT_EQ(inputs[2].num_tokens(), 0);
+  for (bool visibility : {true, false}) {
+    TurlConfig config = SmallConfig();
+    config.num_heads = 4;
+    config.dropout = 0.f;
+    config.use_visibility_matrix = visibility;
+    TurlModel model(config, Ctx().vocab.size(), Ctx().entity_vocab.size(), 3);
+    for (size_t k = 0; k < inputs.size(); ++k) {
+      SCOPED_TRACE(::testing::Message() << "input " << k << ", visibility "
+                                        << visibility);
+      Rng rng(7);
+      const nn::Tensor taped = model.Encode(inputs[k], true, &rng);
+      const nn::Tensor tape_free = model.Encode(inputs[k], false);
+      EXPECT_FALSE(taped.impl()->parents.empty());
+      EXPECT_TRUE(tape_free.impl()->parents.empty());
+      EXPECT_TRUE(tape_free.impl()->tape_free);
+      ASSERT_EQ(taped.shape(), tape_free.shape());
+      EXPECT_EQ(std::memcmp(taped.data(), tape_free.data(),
+                            sizeof(float) * size_t(taped.numel())),
+                0);
+    }
+  }
+}
+
+TEST(TurlModelTest, ValidateInputAcceptsEveryEncodedTable) {
+  TurlModel model(SmallConfig(), Ctx().vocab.size(),
+                  Ctx().entity_vocab.size(), 1);
+  const text::WordPieceTokenizer tok = Ctx().MakeTokenizer();
+  EncodeOptions entities_only;
+  entities_only.include_metadata = false;
+  int checked = 0;
+  for (const data::Table& table : Ctx().corpus.tables) {
+    for (const EncodeOptions& options : {EncodeOptions(), entities_only}) {
+      const EncodedTable e = EncodeTable(table, tok, Ctx().entity_vocab,
+                                         options);
+      if (e.total() == 0) continue;
+      const Status s = model.ValidateInput(e);
+      ASSERT_TRUE(s.ok()) << s.ToString();
+      ++checked;
+    }
+  }
+  EXPECT_GT(checked, 300);
+  EXPECT_FALSE(model.ValidateInput(EncodedTable()).ok());
 }
 
 TEST(TurlModelTest, MlmLogitsShape) {

@@ -1,5 +1,7 @@
 #include "nn/tensor.h"
 
+#include <thread>
+
 #include "gtest/gtest.h"
 #include "nn/ops.h"
 
@@ -127,6 +129,83 @@ TEST(TensorTest, DetachBlocksGradient) {
   Tensor loss = SumAll(d);
   loss.Backward();
   EXPECT_FALSE(a.has_grad());
+}
+
+TEST(NoGradScopeTest, ResultsRecordNoParentsAndNoClosure) {
+  Tensor a = Tensor::FromVector({2}, {1.f, 2.f});
+  a.set_requires_grad(true);
+  NoGradScope no_grad;
+  Tensor mid = Add(a, a);
+  Tensor out = Mul(mid, a);
+  for (const Tensor& t : {mid, out}) {
+    EXPECT_TRUE(t.impl()->parents.empty());
+    EXPECT_EQ(t.impl()->backward_fn, nullptr);
+    EXPECT_TRUE(t.impl()->tape_free);
+    EXPECT_FALSE(t.requires_grad());
+  }
+  // Only the bookkeeping goes; the values are the taped ones.
+  EXPECT_FLOAT_EQ(out.at(0), 2.f);
+  EXPECT_FLOAT_EQ(out.at(1), 8.f);
+}
+
+TEST(NoGradScopeTest, ScopesNestAndRecordingResumesAfterOutermost) {
+  Tensor a = Tensor::FromVector({2}, {1.f, 2.f});
+  EXPECT_FALSE(NoGradScope::Active());
+  {
+    NoGradScope outer;
+    {
+      NoGradScope inner;
+      EXPECT_TRUE(Add(a, a).impl()->tape_free);
+    }
+    EXPECT_TRUE(NoGradScope::Active());
+    EXPECT_TRUE(Add(a, a).impl()->parents.empty());
+  }
+  EXPECT_FALSE(NoGradScope::Active());
+  Tensor taped = Add(a, a);
+  EXPECT_EQ(taped.impl()->parents.size(), 2u);
+  EXPECT_NE(taped.impl()->backward_fn, nullptr);
+  EXPECT_FALSE(taped.impl()->tape_free);
+}
+
+TEST(NoGradScopeTest, ScopeIsPerThread) {
+  NoGradScope no_grad;
+  bool active_elsewhere = true;
+  std::thread([&] { active_elsewhere = NoGradScope::Active(); }).join();
+  EXPECT_FALSE(active_elsewhere);
+  EXPECT_TRUE(NoGradScope::Active());
+}
+
+TEST(NoGradScopeDeathTest, BackwardOnTapeFreeResultDies) {
+  Tensor a = Tensor::FromVector({2}, {1.f, 2.f});
+  a.set_requires_grad(true);
+  Tensor loss;
+  {
+    NoGradScope no_grad;
+    loss = SumAll(Mul(a, a));
+  }
+  EXPECT_DEATH(loss.Backward(), "NoGradScope");
+}
+
+TEST(NoGradScopeTest, TapedOpOnTapeFreeInputBackpropsIntoParameterOnly) {
+  Tensor a = Tensor::FromVector({1, 2}, {1.f, 2.f});
+  Tensor b = Tensor::FromVector({2, 2}, {1.f, -1.f, 0.5f, 2.f});
+  a.set_requires_grad(true);
+  b.set_requires_grad(true);
+  Tensor x;
+  {
+    NoGradScope no_grad;
+    x = MatMul(a, b);  // [[2, 3]]
+  }
+  Tensor w = Tensor::FromVector({2, 1}, {3.f, -1.f});
+  w.set_requires_grad(true);
+  SumAll(MatMul(x, w)).Backward();
+  // x is a constant, as after Detach(): d/dw sum(x w) = x^T, and nothing
+  // reaches the inputs x was computed from.
+  ASSERT_TRUE(w.has_grad());
+  EXPECT_FLOAT_EQ(w.grad_vector()[0], 2.f);
+  EXPECT_FLOAT_EQ(w.grad_vector()[1], 3.f);
+  EXPECT_FALSE(a.has_grad());
+  EXPECT_FALSE(b.has_grad());
 }
 
 TEST(ShapeTest, NumelAndToString) {

@@ -12,6 +12,8 @@
 #include "core/model.h"
 #include "core/table_encoding.h"
 #include "gtest/gtest.h"
+#include "nn/ops.h"
+#include "rt/bulk.h"
 
 namespace turl {
 namespace rt {
@@ -128,6 +130,36 @@ TEST(InferenceSessionTest, EncodeMatchesModelEncode) {
   const core::EncodedTable& t = Workload()[0];
   EXPECT_EQ(session.Encode(t).ToVector(),
             Model().Encode(t, /*training=*/false).ToVector());
+}
+
+// Inference records no tape: every EncodeBatch result is a leaf, on
+// whichever worker it ran.
+TEST(InferenceSessionTest, EncodeBatchResultsHaveNoTape) {
+  for (int threads : {1, 4}) {
+    InferenceSession session(Model(), SessionOptions{.num_threads = threads});
+    const std::vector<nn::Tensor> batched =
+        session.EncodeBatch(std::span<const core::EncodedTable>(Workload()));
+    ASSERT_EQ(batched.size(), Workload().size());
+    for (size_t i = 0; i < batched.size(); ++i) {
+      EXPECT_TRUE(batched[i].impl()->parents.empty())
+          << threads << " threads, table " << i;
+      EXPECT_EQ(batched[i].impl()->backward_fn, nullptr);
+    }
+  }
+}
+
+// BulkRun opens the scope on the worker that scores, and only there.
+TEST(InferenceSessionTest, BulkRunScoresWithoutTape) {
+  InferenceSession session(Model(), SessionOptions{.num_threads = 4});
+  const std::vector<core::EncodedTable>& tables = Workload();
+  const std::vector<int> tape_free = BulkRun<int>(
+      session, tables.size(), [&](size_t i) { return tables[i]; },
+      [](size_t, const core::EncodedTable&, const nn::Tensor& hidden) {
+        const nn::Tensor score = nn::SumAll(hidden);
+        return int(nn::NoGradScope::Active() && score.impl()->tape_free);
+      });
+  EXPECT_EQ(tape_free, std::vector<int>(tables.size(), 1));
+  EXPECT_FALSE(nn::NoGradScope::Active());
 }
 
 TEST(InferenceSessionTest, EmptyBatchIsFine) {

@@ -17,11 +17,13 @@
 #include "core/model.h"
 #include "core/table_encoding.h"
 #include "gtest/gtest.h"
+#include "obs/metrics.h"
 #include "obs/server/handlers.h"
 #include "rt/inference_session.h"
 #include "serve/client.h"
 #include "serve/protocol.h"
 #include "serve/server.h"
+#include "util/rng.h"
 
 namespace turl {
 namespace serve {
@@ -347,6 +349,134 @@ TEST(ServeServerTest, MalformedFramesFailTheConnectionNotTheServer) {
       client.Call(tables[0], rt::TaskKind::kEncode, 10, &response).ok());
   ASSERT_EQ(response.status, rt::ResponseStatus::kOk);
   EXPECT_EQ(response.hidden, Oracle().Encode(tables[0]).ToVector());
+  server.Stop();
+}
+
+int64_t BadFrames() {
+  return obs::MetricsRegistry::Get().GetCounter("serve.bad_frames")->Value();
+}
+
+/// Sends `hostile` and expects BAD_REQUEST, then sends `valid` on the same
+/// connection and expects the oracle's answer.
+void ExpectRefusedThenServed(ServeClient* client,
+                             const core::EncodedTable& hostile,
+                             const core::EncodedTable& valid, uint64_t id) {
+  const int64_t bad_before = BadFrames();
+  WireResponse response;
+  ASSERT_TRUE(client->Call(hostile, rt::TaskKind::kEncode, id, &response).ok());
+  EXPECT_EQ(response.status, rt::ResponseStatus::kBadRequest);
+  EXPECT_EQ(response.request_id, id);
+  EXPECT_TRUE(response.hidden.empty());
+  EXPECT_EQ(BadFrames(), bad_before + 1);
+  ASSERT_TRUE(
+      client->Call(valid, rt::TaskKind::kEncode, id + 1, &response).ok());
+  ASSERT_EQ(response.status, rt::ResponseStatus::kOk) << response.message;
+  EXPECT_EQ(response.hidden, Oracle().Encode(valid).ToVector());
+}
+
+// Well-formed frames whose tables do not fit the model used to reach a
+// TURL_CHECK in Encode and abort the server. Each is refused on its own,
+// and the connection keeps serving.
+TEST(ServeServerTest, HostileTablesGetBadRequestAndKeepTheConnection) {
+  const std::vector<core::EncodedTable> tables = SomeTables(1);
+  ASSERT_FALSE(tables.empty());
+  const core::EncodedTable& valid = tables[0];
+  ASSERT_GT(valid.num_tokens(), 0);
+  ASSERT_GT(valid.num_entities(), 1);
+  const int mention_entity = [&] {
+    for (int i = 0; i < valid.num_entities(); ++i) {
+      if (!valid.entity_mentions[size_t(i)].empty()) return i;
+    }
+    return -1;
+  }();
+  ASSERT_GE(mention_entity, 0);
+
+  std::vector<std::pair<std::string, core::EncodedTable>> hostile;
+  hostile.emplace_back("token id 2^30", valid);
+  hostile.back().second.token_ids[0] = 1 << 30;
+  hostile.emplace_back("entity id -5", valid);
+  hostile.back().second.entity_ids[1] = -5;
+  hostile.emplace_back("segment 2", valid);
+  hostile.back().second.token_segment[0] = 2;
+  hostile.emplace_back("mention id past the vocab", valid);
+  hostile.back().second.entity_mentions[size_t(mention_entity)][0] =
+      Model().word_vocab_size();
+  core::EncodedTable long_table;
+  for (int i = 0; i < 5000; ++i) {
+    long_table.token_ids.push_back(valid.token_ids[0]);
+    long_table.token_segment.push_back(core::kSegmentCaption);
+    long_table.token_position.push_back(i);
+    long_table.token_column.push_back(-1);
+  }
+  hostile.emplace_back("5000 tokens", std::move(long_table));
+
+  ServeServer server(Model(), FastOptions());
+  ASSERT_TRUE(server.Start().ok());
+  ServeClient client;
+  ASSERT_TRUE(client.Connect("127.0.0.1", server.port()).ok());
+  uint64_t id = 100;
+  for (const auto& [name, table] : hostile) {
+    SCOPED_TRACE(name);
+    ExpectRefusedThenServed(&client, table, valid, id);
+    id += 2;
+  }
+  EXPECT_TRUE(server.running());
+  server.Stop();
+}
+
+// A seeded sweep: every case sets one field of a valid frame out of range,
+// at a random element, to a random bad value.
+TEST(ServeServerTest, OneFieldOutOfRangeSweepGetsBadRequest) {
+  const std::vector<core::EncodedTable> tables = SomeTables(1);
+  ASSERT_FALSE(tables.empty());
+  const core::EncodedTable& valid = tables[0];
+  const int nt = valid.num_tokens();
+  const int ne = valid.num_entities();
+  ASSERT_GT(nt, 0);
+  ASSERT_GT(ne, 0);
+  const int words = Model().word_vocab_size();
+  const int entities = Model().entity_vocab_size();
+
+  ServeServer server(Model(), FastOptions());
+  ASSERT_TRUE(server.Start().ok());
+  ServeClient client;
+  ASSERT_TRUE(client.Connect("127.0.0.1", server.port()).ok());
+  Rng rng(2024);
+  // A value below or above [lo, hi): lo - 1 - r or hi + r, r in [0, 2^20).
+  const auto outside = [&](int lo, int hi) {
+    const int r = int(rng.Uniform(1 << 20));
+    return rng.Bernoulli(0.5) ? lo - 1 - r : hi + r;
+  };
+  // A row or column: -1 where the element has none, >= 0 where it has.
+  const auto bad_coordinate = [&](bool has_coordinate) {
+    return has_coordinate ? -1 - int(rng.Uniform(1 << 20))
+                          : outside(-1, 0);
+  };
+  constexpr int kFields = 9;
+  uint64_t id = 1000;
+  for (int round = 0; round < 4 * kFields; ++round) {
+    core::EncodedTable table = valid;
+    const int field = round % kFields;
+    const size_t t = size_t(rng.Uniform(uint64_t(nt)));
+    const size_t e = size_t(rng.Uniform(uint64_t(ne)));
+    const bool header = table.token_segment[t] == core::kSegmentHeader;
+    const bool cell = table.entity_role[e] != core::kRoleTopic;
+    switch (field) {
+      case 0: table.token_ids[t] = outside(0, words); break;
+      case 1: table.token_segment[t] = outside(0, 2); break;
+      case 2: table.token_position[t] = -1 - int(rng.Uniform(1 << 20)); break;
+      case 3: table.token_column[t] = bad_coordinate(header); break;
+      case 4: table.entity_ids[e] = outside(0, entities); break;
+      case 5: table.entity_role[e] = outside(0, 3); break;
+      case 6: table.entity_row[e] = bad_coordinate(cell); break;
+      case 7: table.entity_column[e] = bad_coordinate(cell); break;
+      case 8: table.entity_mentions[e].push_back(outside(0, words)); break;
+    }
+    SCOPED_TRACE(::testing::Message() << "round " << round << ", field "
+                                      << field);
+    ExpectRefusedThenServed(&client, table, valid, id);
+    id += 2;
+  }
   server.Stop();
 }
 
