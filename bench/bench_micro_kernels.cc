@@ -6,8 +6,10 @@
 //
 // On top of the google-benchmark timings, main() measures naive vs blocked
 // GEMM directly over the encoder's characteristic shapes (square 256^3, the
-// ragged attention-ish 312x768x64 and the single-row logits 1x768x30522)
-// and writes the items/sec pairs plus speedups to BENCH_kernels.json.
+// ragged attention-ish 312x768x64 and the single-row logits 1x768x30522),
+// and the libm row loops vs the vector-exp row kernels (GeLU forward and
+// backward, an unmasked and a masked 225x225 softmax), and writes the
+// items/sec pairs plus speedups and errors to BENCH_kernels.json.
 
 #include <benchmark/benchmark.h>
 
@@ -268,6 +270,146 @@ double MeasureNTItemsPerSec(GemmFn fn, int64_t m, int64_t k, int64_t n) {
   return best;
 }
 
+/// Elements/sec of `pass` over `elems` elements in each of kBenchReps
+/// timed blocks of about 0.1 s: the best block, and the worst as the spread.
+struct Rate {
+  double best = 0.0, worst = 0.0;
+};
+
+template <typename Pass>
+Rate MeasureElemsPerSec(const Pass& pass, int64_t elems) {
+  pass();  // Warm-up.
+  const auto t0 = std::chrono::steady_clock::now();
+  pass();
+  const std::chrono::duration<double> once =
+      std::chrono::steady_clock::now() - t0;
+  const int iters = static_cast<int>(0.1 / std::max(once.count(), 1e-7)) + 1;
+  Rate rate;
+  for (int rep = 0; rep < kBenchReps; ++rep) {
+    const auto start = std::chrono::steady_clock::now();
+    for (int it = 0; it < iters; ++it) pass();
+    const std::chrono::duration<double> dt =
+        std::chrono::steady_clock::now() - start;
+    const double r = double(elems) * iters / dt.count();
+    rate.best = std::max(rate.best, r);
+    rate.worst = rep == 0 ? r : std::min(rate.worst, r);
+  }
+  return rate;
+}
+
+double MaxAbsDiff(const std::vector<float>& a, const std::vector<float>& b) {
+  double err = 0.0;
+  for (size_t i = 0; i < a.size(); ++i) {
+    err = std::max(err, double(std::abs(a[i] - b[i])));
+  }
+  return err;
+}
+
+/// The "rowwise" block: each row kernel against its naive:: libm loop, on
+/// one thread. GeLU runs over 64K N(0, 2) inputs (its backward with dy = 1
+/// into dx = 0, so the error is the derivative's); the softmax rows are
+/// 225 x 225, a bulk_wide attention matrix, the masked one at its 43%
+/// visible density with the attention scale 1/sqrt(16).
+void WriteRowwiseComparison(std::FILE* f) {
+  namespace k = nn::kernels;
+  Rng rng(29);
+  const int64_t ng = 1 << 16;
+  std::vector<float> x(static_cast<size_t>(ng)), dy(x.size(), 1.f);
+  for (float& v : x) v = float(rng.Normal(0.0, std::sqrt(2.0)));
+  std::vector<float> y(x.size()), want(x.size());
+  std::vector<float> dx(x.size()), want_dx(x.size());
+
+  const int64_t n = 225;
+  std::vector<float> scores(static_cast<size_t>(n * n));
+  std::vector<float> mask(scores.size());
+  for (float& v : scores) v = float(rng.Normal(0.0, 4.0));
+  for (float& v : mask) v = rng.UniformFloat(0.f, 1.f) < 0.43f ? 0.f : -1e9f;
+  std::vector<float> p(scores.size()), want_p(scores.size());
+  const float scale = 0.25f;
+
+  struct Row {
+    const char* name;
+    int64_t m, n;
+    Rate naive, kernel;
+    double err;
+  };
+  std::vector<Row> rows;
+  {
+    const auto naive = [&] {
+      k::naive::ActivationForward(k::Act::kGelu, x.data(), want.data(), ng);
+    };
+    const auto kernel = [&] {
+      k::ActivationForward(k::Act::kGelu, x.data(), y.data(), ng);
+    };
+    rows.push_back({"gelu_forward", 1, ng, MeasureElemsPerSec(naive, ng),
+                    MeasureElemsPerSec(kernel, ng), MaxAbsDiff(y, want)});
+  }
+  {
+    // The timed passes accumulate into dx; the error pass starts from 0.
+    const auto naive = [&] {
+      k::naive::ActivationBackward(k::Act::kGelu, x.data(), want.data(),
+                                   dy.data(), want_dx.data(), ng);
+    };
+    const auto kernel = [&] {
+      k::ActivationBackward(k::Act::kGelu, x.data(), y.data(), dy.data(),
+                            dx.data(), ng);
+    };
+    const Rate naive_rate = MeasureElemsPerSec(naive, ng);
+    const Rate kernel_rate = MeasureElemsPerSec(kernel, ng);
+    std::fill(dx.begin(), dx.end(), 0.f);
+    std::fill(want_dx.begin(), want_dx.end(), 0.f);
+    naive();
+    kernel();
+    rows.push_back({"gelu_backward", 1, ng, naive_rate, kernel_rate,
+                    MaxAbsDiff(dx, want_dx)});
+  }
+  {
+    const auto naive = [&] {
+      k::naive::SoftmaxRowsForward(scores.data(), want_p.data(), n, n);
+    };
+    const auto kernel = [&] {
+      k::SoftmaxRowsForward(scores.data(), p.data(), n, n);
+    };
+    rows.push_back({"softmax", n, n, MeasureElemsPerSec(naive, n * n),
+                    MeasureElemsPerSec(kernel, n * n), MaxAbsDiff(p, want_p)});
+  }
+  {
+    // The masked kernels work in place: each pass restarts from the scores.
+    const auto naive = [&] {
+      std::copy(scores.begin(), scores.end(), want_p.begin());
+      k::naive::MaskedScaledSoftmaxRows(want_p.data(), mask.data(), scale, n,
+                                        n);
+    };
+    const auto kernel = [&] {
+      std::copy(scores.begin(), scores.end(), p.begin());
+      k::MaskedScaledSoftmaxRows(p.data(), mask.data(), scale, n, n);
+    };
+    rows.push_back({"masked_softmax", n, n, MeasureElemsPerSec(naive, n * n),
+                    MeasureElemsPerSec(kernel, n * n), MaxAbsDiff(p, want_p)});
+  }
+  bool first = true;
+  for (const Row& r : rows) {
+    const double speedup = r.kernel.best / r.naive.best;
+    std::fprintf(f,
+                 "%s    {\"kernel\": \"%s\", \"m\": %lld, \"n\": %lld, "
+                 "\"naive_items_per_sec\": %.3e, "
+                 "\"naive_worst_items_per_sec\": %.3e, "
+                 "\"kernel_items_per_sec\": %.3e, "
+                 "\"kernel_worst_items_per_sec\": %.3e, \"speedup\": %.2f, "
+                 "\"max_abs_err\": %.4e}",
+                 first ? "" : ",\n", r.name, static_cast<long long>(r.m),
+                 static_cast<long long>(r.n), r.naive.best, r.naive.worst,
+                 r.kernel.best, r.kernel.worst, speedup, r.err);
+    std::fprintf(stderr,
+                 "rowwise %s %lldx%lld: naive %.3e (worst %.3e) kernel %.3e "
+                 "(worst %.3e) elem/s (speedup %.2fx, max err %.4e)\n",
+                 r.name, static_cast<long long>(r.m),
+                 static_cast<long long>(r.n), r.naive.best, r.naive.worst,
+                 r.kernel.best, r.kernel.worst, speedup, r.err);
+    first = false;
+  }
+}
+
 void WriteKernelComparison(const char* path) {
   // Single-threaded by construction so the recorded speedup is the blocked
   // kernel's own, not the thread pool's.
@@ -348,10 +490,7 @@ void WriteKernelComparison(const char* path) {
     std::vector<float> ref(static_cast<size_t>(c.m * c.n));
     nn::kernels::naive::GemmNT(c.m, c.n, c.k, a.data(), c.k, b.data(), c.k,
                                ref.data(), c.n, false);
-    double max_err = 0.0;
-    for (size_t i = 0; i < ref.size(); ++i) {
-      max_err = std::max(max_err, double(std::abs(y[i] - ref[i])));
-    }
+    const double max_err = MaxAbsDiff(y, ref);
 
     std::fprintf(f,
                  "%s    {\"m\": %lld, \"k\": %lld, \"n\": %lld, "
@@ -373,6 +512,8 @@ void WriteKernelComparison(const char* path) {
                  gemv / naive, int8 / naive, max_err);
     first = false;
   }
+  std::fprintf(f, "\n  ],\n  \"rowwise\": [\n");
+  WriteRowwiseComparison(f);
   std::fprintf(f, "\n  ]\n}\n");
   std::fclose(f);
   nn::kernels::SetKernelThreads(0);  // Restore env/default resolution.

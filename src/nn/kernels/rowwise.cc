@@ -2,6 +2,11 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
+
+#if defined(__AVX2__) && defined(__FMA__)
+#include <immintrin.h>
+#endif
 
 #include "nn/kernels/threading.h"
 #include "obs/trace.h"
@@ -12,7 +17,6 @@ namespace kernels {
 
 namespace {
 
-constexpr float kGeluC = 0.7978845608028654f;  // sqrt(2/pi)
 constexpr int64_t kRowPanel = 64;
 
 // exp/tanh cost far more than a mul-add; weight elements so the parallel
@@ -31,37 +35,159 @@ void ForEachRowPanel(int64_t m, int64_t n, const RowFn& fn) {
                  });
 }
 
-void SoftmaxRowInPlace(float* row, int64_t n) {
-  float mx = row[0];
-  for (int64_t j = 1; j < n; ++j) mx = std::max(mx, row[j]);
-  float sum = 0.f;
-  for (int64_t j = 0; j < n; ++j) {
-    const float e = std::exp(row[j] - mx);
-    row[j] = e;
-    sum += e;
-  }
-  const float inv = 1.f / sum;
-  for (int64_t j = 0; j < n; ++j) row[j] *= inv;
+#if defined(__AVX2__) && defined(__FMA__)
+
+constexpr int64_t kLanes = 8;
+
+constexpr float kExpClamp = 87.f;
+constexpr float kLog2e = 1.44269504088896341f;
+constexpr float kLn2Hi = 0.693359375f;     // 9 bits: n * kLn2Hi is exact.
+constexpr float kLn2Lo = -2.12194440e-4f;  // ln 2 - kLn2Hi.
+
+/// e^x on 8 lanes, after Cephes' expf: n = round(x log2 e), r = x - n ln 2
+/// in two FMA steps, a degree-5 polynomial for e^r on [-ln2/2, ln2/2], and
+/// 2^n put in through the exponent bits. x is clamped to [-87, 87], so
+/// n + 127 stays in [1, 253] and no lane ever builds a denormal; every
+/// input below -87, -inf included, then returns exactly +0.f, and inputs
+/// above 87 saturate at e^87 (no caller needs more: softmax arguments are
+/// <= 0, and GeLU's 1/(1 + e) is below 2e-38 there). The clamps take x as
+/// their second operand, which min/max return when it is NaN, so NaN in
+/// gives NaN out.
+inline __m256 Exp8(__m256 x) {
+  const __m256 lo = _mm256_set1_ps(-kExpClamp);
+  const __m256 xc =
+      _mm256_min_ps(_mm256_set1_ps(kExpClamp), _mm256_max_ps(lo, x));
+  const __m256 fn =
+      _mm256_round_ps(_mm256_mul_ps(xc, _mm256_set1_ps(kLog2e)),
+                      _MM_FROUND_TO_NEAREST_INT | _MM_FROUND_NO_EXC);
+  __m256 r = _mm256_fnmadd_ps(fn, _mm256_set1_ps(kLn2Hi), xc);
+  r = _mm256_fnmadd_ps(fn, _mm256_set1_ps(kLn2Lo), r);
+  __m256 p = _mm256_set1_ps(1.9875691500e-4f);
+  p = _mm256_fmadd_ps(p, r, _mm256_set1_ps(1.3981999507e-3f));
+  p = _mm256_fmadd_ps(p, r, _mm256_set1_ps(8.3334519073e-3f));
+  p = _mm256_fmadd_ps(p, r, _mm256_set1_ps(4.1665795894e-2f));
+  p = _mm256_fmadd_ps(p, r, _mm256_set1_ps(1.6666665459e-1f));
+  p = _mm256_fmadd_ps(p, r, _mm256_set1_ps(5.0000001201e-1f));
+  const __m256 er = _mm256_add_ps(
+      _mm256_fmadd_ps(p, _mm256_mul_ps(r, r), r), _mm256_set1_ps(1.f));
+  const __m256i bits = _mm256_slli_epi32(
+      _mm256_add_epi32(_mm256_cvtps_epi32(fn), _mm256_set1_epi32(127)), 23);
+  const __m256 y = _mm256_mul_ps(er, _mm256_castsi256_ps(bits));
+  return _mm256_andnot_ps(_mm256_cmp_ps(x, lo, _CMP_LT_OQ), y);
 }
+
+/// Loads x[j, j + 8) into 8 lanes. Past n, the lanes read `pad` from a
+/// stack buffer, so the last n % 8 elements go through the same lane
+/// arithmetic as the rest: no result depends on its offset.
+inline __m256 LoadLanes(const float* x, int64_t j, int64_t n, float pad) {
+  if (j + kLanes <= n) return _mm256_loadu_ps(x + j);
+  alignas(32) float tail[kLanes];
+  std::fill(tail, tail + kLanes, pad);
+  std::copy(x + j, x + n, tail);
+  return _mm256_load_ps(tail);
+}
+
+/// Stores the lanes of v that fall below n at y + j.
+inline void StoreLanes(float* y, int64_t j, int64_t n, __m256 v) {
+  if (j + kLanes <= n) {
+    _mm256_storeu_ps(y + j, v);
+    return;
+  }
+  alignas(32) float tail[kLanes];
+  _mm256_store_ps(tail, v);
+  std::copy(tail, tail + (n - j), y + j);
+}
+
+/// softmax of one row x[0, n) into y (y == x allowed): a vector max, then
+/// exp and an 8-lane sum in one pass, reduced by the same fixed tree as
+/// the GEMV dots, then 1/sum. Padding lanes hold -inf: they never win the
+/// max and add exactly +0 to the sum.
+void SoftmaxRow(const float* x, float* y, int64_t n) {
+  constexpr float kPad = -std::numeric_limits<float>::infinity();
+  __m256 vmax = _mm256_set1_ps(kPad);
+  for (int64_t j = 0; j < n; j += kLanes) {
+    vmax = _mm256_max_ps(vmax, LoadLanes(x, j, n, kPad));
+  }
+  alignas(32) float a[kLanes];
+  _mm256_store_ps(a, vmax);
+  const __m256 mx = _mm256_set1_ps(*std::max_element(a, a + kLanes));
+  __m256 vsum = _mm256_setzero_ps();
+  for (int64_t j = 0; j < n; j += kLanes) {
+    const __m256 e = Exp8(_mm256_sub_ps(LoadLanes(x, j, n, kPad), mx));
+    vsum = _mm256_add_ps(vsum, e);
+    StoreLanes(y, j, n, e);
+  }
+  _mm256_store_ps(a, vsum);
+  const float sum =
+      ((a[0] + a[4]) + (a[2] + a[6])) + ((a[1] + a[5]) + (a[3] + a[7]));
+  const float inv = 1.f / sum;
+  for (int64_t j = 0; j < n; ++j) y[j] *= inv;
+}
+
+constexpr float kGeluC = 0.7978845608028654f;  // sqrt(2/pi)
+constexpr float kGeluA = 0.044715f;
+// Past |x| = 10, -2u is beyond +-87, so e is already 0 or e^87 and q is
+// saturated: clamping x there for u and u' changes no q, and keeps u and
+// x u' finite for every finite x.
+constexpr float kGeluSat = 10.f;
+
+/// GeLU's tanh form without tanh: 0.5 (1 + tanh u) = q with q = 1/(1 + e),
+/// e = exp(-2u) and u = c (x + a x^3). Forward is x q; the derivative is
+/// q + 2x (e q^2) u', where e q^2 avoids the 1 - tanh^2 cancellation.
+struct Gelu8 {
+  __m256 q;    // 0.5 (1 + tanh u)
+  __m256 eqq;  // e q^2
+  __m256 xdu;  // x u'
+  explicit Gelu8(__m256 x) {
+    const __m256 one = _mm256_set1_ps(1.f);
+    const __m256 c = _mm256_set1_ps(kGeluC);
+    // x is the second operand of both clamps, so NaN passes through.
+    const __m256 xs = _mm256_min_ps(
+        _mm256_set1_ps(kGeluSat),
+        _mm256_max_ps(_mm256_set1_ps(-kGeluSat), x));
+    const __m256 x2 = _mm256_mul_ps(xs, xs);
+    const __m256 u = _mm256_mul_ps(
+        xs, _mm256_fmadd_ps(x2, _mm256_set1_ps(kGeluC * kGeluA), c));
+    const __m256 e = Exp8(_mm256_mul_ps(u, _mm256_set1_ps(-2.f)));
+    q = _mm256_div_ps(one, _mm256_add_ps(one, e));
+    eqq = _mm256_mul_ps(_mm256_mul_ps(e, q), q);
+    xdu = _mm256_mul_ps(
+        xs, _mm256_fmadd_ps(x2, _mm256_set1_ps(3.f * kGeluC * kGeluA), c));
+  }
+};
+
+void GeluForward(const float* x, float* y, int64_t n) {
+  for (int64_t j = 0; j < n; j += kLanes) {
+    const __m256 v = LoadLanes(x, j, n, 0.f);
+    StoreLanes(y, j, n, _mm256_mul_ps(v, Gelu8(v).q));
+  }
+}
+
+void GeluBackward(const float* x, const float* dy, float* dx, int64_t n) {
+  for (int64_t j = 0; j < n; j += kLanes) {
+    const Gelu8 g(LoadLanes(x, j, n, 0.f));
+    const __m256 d =
+        _mm256_fmadd_ps(_mm256_add_ps(g.eqq, g.eqq), g.xdu, g.q);
+    StoreLanes(dx, j, n,
+               _mm256_fmadd_ps(LoadLanes(dy, j, n, 0.f), d,
+                               LoadLanes(dx, j, n, 0.f)));
+  }
+}
+
+#else  // Base ISA: the naive loops are the implementation.
+
+void SoftmaxRow(const float* x, float* y, int64_t n) {
+  naive::SoftmaxRowsForward(x, y, 1, n);
+}
+
+#endif
 
 }  // namespace
 
 void SoftmaxRowsForward(const float* x, float* y, int64_t m, int64_t n) {
   TURL_TRACE_SCOPE("kernel.softmax");
-  ForEachRowPanel(m, n, [&](int64_t i) {
-    const float* row = x + i * n;
-    float* out = y + i * n;
-    float mx = row[0];
-    for (int64_t j = 1; j < n; ++j) mx = std::max(mx, row[j]);
-    float sum = 0.f;
-    for (int64_t j = 0; j < n; ++j) {
-      const float e = std::exp(row[j] - mx);
-      out[j] = e;
-      sum += e;
-    }
-    const float inv = 1.f / sum;
-    for (int64_t j = 0; j < n; ++j) out[j] *= inv;
-  });
+  ForEachRowPanel(m, n,
+                  [&](int64_t i) { SoftmaxRow(x + i * n, y + i * n, n); });
 }
 
 void MaskedScaledSoftmaxRows(float* scores, const float* mask, float scale,
@@ -75,7 +201,7 @@ void MaskedScaledSoftmaxRows(float* scores, const float* mask, float scale,
     } else if (scale != 1.f) {
       for (int64_t j = 0; j < n; ++j) row[j] *= scale;
     }
-    SoftmaxRowInPlace(row, n);
+    SoftmaxRow(row, row, n);
   });
 }
 
@@ -159,51 +285,24 @@ void LayerNormBackward(const float* dy, const float* gamma, const float* xhat,
 }
 
 void ActivationForward(Act act, const float* x, float* y, int64_t n) {
-  switch (act) {
-    case Act::kGelu:
-      for (int64_t i = 0; i < n; ++i) {
-        const float v = x[i];
-        const float inner = kGeluC * (v + 0.044715f * v * v * v);
-        y[i] = 0.5f * v * (1.f + std::tanh(inner));
-      }
-      break;
-    case Act::kRelu:
-      for (int64_t i = 0; i < n; ++i) y[i] = x[i] > 0.f ? x[i] : 0.f;
-      break;
-    case Act::kTanh:
-      for (int64_t i = 0; i < n; ++i) y[i] = std::tanh(x[i]);
-      break;
-    case Act::kSigmoid:
-      for (int64_t i = 0; i < n; ++i) y[i] = 1.f / (1.f + std::exp(-x[i]));
-      break;
+#if defined(__AVX2__) && defined(__FMA__)
+  if (act == Act::kGelu) {
+    GeluForward(x, y, n);
+    return;
   }
+#endif
+  naive::ActivationForward(act, x, y, n);
 }
 
 void ActivationBackward(Act act, const float* x, const float* y,
                         const float* dy, float* dx, int64_t n) {
-  switch (act) {
-    case Act::kGelu:
-      for (int64_t i = 0; i < n; ++i) {
-        const float v = x[i];
-        const float inner = kGeluC * (v + 0.044715f * v * v * v);
-        const float t = std::tanh(inner);
-        const float dinner = kGeluC * (1.f + 3.f * 0.044715f * v * v);
-        const float d = 0.5f * (1.f + t) + 0.5f * v * (1.f - t * t) * dinner;
-        dx[i] += dy[i] * d;
-      }
-      break;
-    case Act::kRelu:
-      for (int64_t i = 0; i < n; ++i) {
-        if (x[i] > 0.f) dx[i] += dy[i];
-      }
-      break;
-    case Act::kTanh:
-      for (int64_t i = 0; i < n; ++i) dx[i] += dy[i] * (1.f - y[i] * y[i]);
-      break;
-    case Act::kSigmoid:
-      for (int64_t i = 0; i < n; ++i) dx[i] += dy[i] * y[i] * (1.f - y[i]);
-      break;
+#if defined(__AVX2__) && defined(__FMA__)
+  if (act == Act::kGelu) {
+    GeluBackward(x, dy, dx, n);
+    return;
   }
+#endif
+  naive::ActivationBackward(act, x, y, dy, dx, n);
 }
 
 }  // namespace kernels

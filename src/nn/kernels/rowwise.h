@@ -12,6 +12,12 @@ namespace kernels {
 /// ops layer never materializes intermediate row statistics. Rows are
 /// independent, so large matrices parallelize over row panels with bitwise
 /// identical results at any thread count (see threading.h).
+///
+/// The softmax forward kernels and GeLU forward/backward share one 8-lane
+/// AVX2/FMA exp (DESIGN.md §8). Each output is a function of its inputs
+/// and, for softmax, of the row length only: never of its offset in the
+/// buffer, the panel split or the thread count. The results are not bit-equal
+/// to the libm loops in naive::, which pin them within a bound instead.
 
 /// Row-wise softmax of x [m,n] into y (y == x allowed). Subtracts the row
 /// max before exponentiating, so logits anywhere in float range stay
@@ -58,6 +64,19 @@ void ActivationForward(Act act, const float* x, float* y, int64_t n);
 /// others read the input x.
 void ActivationBackward(Act act, const float* x, const float* y,
                         const float* dy, float* dx, int64_t n);
+
+/// The libm loops the vector exp replaced, compiled without the kernel SIMD
+/// flags (naive.cc). They are the accuracy oracle of the same-named kernels,
+/// which run them in a build without AVX2/FMA; ReLU, tanh and sigmoid run
+/// them in every build.
+namespace naive {
+void SoftmaxRowsForward(const float* x, float* y, int64_t m, int64_t n);
+void MaskedScaledSoftmaxRows(float* scores, const float* mask, float scale,
+                             int64_t m, int64_t n);
+void ActivationForward(Act act, const float* x, float* y, int64_t n);
+void ActivationBackward(Act act, const float* x, const float* y,
+                        const float* dy, float* dx, int64_t n);
+}  // namespace naive
 
 }  // namespace kernels
 }  // namespace nn

@@ -11,6 +11,8 @@
 #include <cstring>
 
 #include "nn/checkpoint.h"
+#include "nn/ops.h"
+#include "test_util.h"
 
 namespace turl {
 namespace core {
@@ -218,6 +220,43 @@ TEST(TurlModelTest, GradientsFlowToAllParameterGroups) {
     for (float g : p.grad_vector()) sum += std::abs(g);
     EXPECT_GT(sum, 0.0) << name;
   }
+}
+
+TEST(TurlModelTest, EncodeGradientsMatchFiniteDifferences) {
+  // The whole encoder (embeddings, visibility-masked attention, GeLU
+  // feed-forward, every LayerNorm) against central differences. Every
+  // parameter is resampled, so no LayerNorm gain sits at its initial 1 and
+  // the checked tensors carry gradients of every sign; dropout is 0 so
+  // each forward is the same function.
+  TurlConfig config = SmallConfig();
+  config.d_model = 8;
+  config.d_intermediate = 16;
+  config.dropout = 0.f;
+  TurlModel model(config, Ctx().vocab.size(), Ctx().entity_vocab.size(), 5);
+  Rng rng(17);
+  for (const auto& [name, p] : model.params()->params()) {
+    float* d = nn::Tensor(p).data();
+    for (int64_t i = 0; i < p.numel(); ++i) d[i] = rng.UniformFloat(-.5f, .5f);
+  }
+  const EncodedTable e = EncodeTrainTable(1);
+  ASSERT_GT(e.num_tokens(), 0);
+  ASSERT_GT(e.num_entities(), 0);
+  // Sum of squares over three output rows: a token, the middle, an entity.
+  const std::vector<int> rows = {0, int(e.total() / 2), int(e.total() - 1)};
+  std::vector<nn::Tensor> checked;
+  for (const char* name :
+       {"emb.norm.gamma", "emb.fuse.weight", "encoder.layer0.attn.wq.weight",
+        "encoder.layer0.attn.wv.weight", "encoder.layer0.ln_attn.gamma",
+        "encoder.layer0.ff.fc1.weight", "encoder.layer0.ln_ff.beta"}) {
+    checked.push_back(model.params()->Get(name));
+  }
+  nn::testing::GradientChecker(1e-2f, 2e-2f).CheckTape(
+      [&] {
+        Rng unused(0);
+        nn::Tensor h = nn::SelectRows(model.Encode(e, true, &unused), rows);
+        return nn::Scale(nn::SumAll(nn::Mul(h, h)), 0.5f);
+      },
+      checked);
 }
 
 TEST(TurlModelTest, CheckpointRoundTripThroughCache) {

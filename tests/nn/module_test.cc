@@ -121,11 +121,11 @@ TEST(TransformerLayerTest, GradChecksEndToEnd) {
   mask[1] = -1e9f;  // Element 1 invisible to element 0.
   mask[3] = -1e9f;
   Tensor w = Tensor::Random({3, 4}, rng);
-  testing_util::ExpectGradientsMatch(
+  testing::GradientChecker(1e-2f, 4e-2f).CheckTape(
       [&] {
         return SumAll(Mul(layer.Forward(x, mask, 0.f, false, &rng), w));
       },
-      {x}, 1e-2f, 4e-2f);
+      {x});
 }
 
 TEST(TransformerEncoderTest, StacksLayers) {

@@ -14,7 +14,7 @@ namespace turl {
 namespace nn {
 namespace {
 
-using testing_util::ExpectGradientsMatch;
+using testing::GradientChecker;
 
 Tensor RandomTensor(Shape shape, Rng* rng, float lo = -1.f, float hi = 1.f) {
   return Tensor::Random(std::move(shape), *rng, lo, hi);
@@ -29,49 +29,56 @@ TEST(OpsGradTest, Add) {
   Rng rng(1);
   Tensor a = RandomTensor({3, 4}, &rng), b = RandomTensor({3, 4}, &rng);
   Tensor w = RandomTensor({3, 4}, &rng);
-  ExpectGradientsMatch([&] { return WeightedSum(Add(a, b), w); }, {a, b});
+  GradientChecker().CheckTape([&] { return WeightedSum(Add(a, b), w); },
+                              {a, b});
 }
 
 TEST(OpsGradTest, Sub) {
   Rng rng(2);
   Tensor a = RandomTensor({2, 5}, &rng), b = RandomTensor({2, 5}, &rng);
   Tensor w = RandomTensor({2, 5}, &rng);
-  ExpectGradientsMatch([&] { return WeightedSum(Sub(a, b), w); }, {a, b});
+  GradientChecker().CheckTape([&] { return WeightedSum(Sub(a, b), w); },
+                              {a, b});
 }
 
 TEST(OpsGradTest, Mul) {
   Rng rng(3);
   Tensor a = RandomTensor({3, 3}, &rng), b = RandomTensor({3, 3}, &rng);
   Tensor w = RandomTensor({3, 3}, &rng);
-  ExpectGradientsMatch([&] { return WeightedSum(Mul(a, b), w); }, {a, b});
+  GradientChecker().CheckTape([&] { return WeightedSum(Mul(a, b), w); },
+                              {a, b});
 }
 
 TEST(OpsGradTest, Scale) {
   Rng rng(4);
   Tensor a = RandomTensor({2, 3}, &rng);
   Tensor w = RandomTensor({2, 3}, &rng);
-  ExpectGradientsMatch([&] { return WeightedSum(Scale(a, -2.5f), w); }, {a});
+  GradientChecker().CheckTape([&] { return WeightedSum(Scale(a, -2.5f), w); },
+                              {a});
 }
 
 TEST(OpsGradTest, AddBias) {
   Rng rng(5);
   Tensor x = RandomTensor({4, 3}, &rng), b = RandomTensor({3}, &rng);
   Tensor w = RandomTensor({4, 3}, &rng);
-  ExpectGradientsMatch([&] { return WeightedSum(AddBias(x, b), w); }, {x, b});
+  GradientChecker().CheckTape([&] { return WeightedSum(AddBias(x, b), w); },
+                              {x, b});
 }
 
 TEST(OpsGradTest, MatMul) {
   Rng rng(6);
   Tensor a = RandomTensor({3, 4}, &rng), b = RandomTensor({4, 2}, &rng);
   Tensor w = RandomTensor({3, 2}, &rng);
-  ExpectGradientsMatch([&] { return WeightedSum(MatMul(a, b), w); }, {a, b});
+  GradientChecker().CheckTape([&] { return WeightedSum(MatMul(a, b), w); },
+                              {a, b});
 }
 
 TEST(OpsGradTest, MatMulNT) {
   Rng rng(7);
   Tensor a = RandomTensor({3, 4}, &rng), b = RandomTensor({5, 4}, &rng);
   Tensor w = RandomTensor({3, 5}, &rng);
-  ExpectGradientsMatch([&] { return WeightedSum(MatMulNT(a, b), w); }, {a, b});
+  GradientChecker().CheckTape([&] { return WeightedSum(MatMulNT(a, b), w); },
+                              {a, b});
 }
 
 TEST(OpsGradTest, MatMulNTMatchesMatMulForward) {
@@ -92,7 +99,7 @@ TEST(OpsGradTest, Gelu) {
   Rng rng(9);
   Tensor x = RandomTensor({3, 4}, &rng, -2.f, 2.f);
   Tensor w = RandomTensor({3, 4}, &rng);
-  ExpectGradientsMatch([&] { return WeightedSum(Gelu(x), w); }, {x});
+  GradientChecker().CheckTape([&] { return WeightedSum(Gelu(x), w); }, {x});
 }
 
 TEST(OpsGradTest, Relu) {
@@ -100,21 +107,22 @@ TEST(OpsGradTest, Relu) {
   // Keep values away from the kink at 0 for finite differences.
   Tensor x = Tensor::FromVector({2, 3}, {-1.f, 2.f, -0.5f, 0.7f, 1.5f, -2.f});
   Tensor w = RandomTensor({2, 3}, &rng);
-  ExpectGradientsMatch([&] { return WeightedSum(Relu(x), w); }, {x});
+  GradientChecker().CheckTape([&] { return WeightedSum(Relu(x), w); }, {x});
 }
 
 TEST(OpsGradTest, Tanh) {
   Rng rng(11);
   Tensor x = RandomTensor({2, 4}, &rng, -2.f, 2.f);
   Tensor w = RandomTensor({2, 4}, &rng);
-  ExpectGradientsMatch([&] { return WeightedSum(TanhOp(x), w); }, {x});
+  GradientChecker().CheckTape([&] { return WeightedSum(TanhOp(x), w); }, {x});
 }
 
 TEST(OpsGradTest, Sigmoid) {
   Rng rng(12);
   Tensor x = RandomTensor({2, 4}, &rng, -3.f, 3.f);
   Tensor w = RandomTensor({2, 4}, &rng);
-  ExpectGradientsMatch([&] { return WeightedSum(SigmoidOp(x), w); }, {x});
+  GradientChecker().CheckTape([&] { return WeightedSum(SigmoidOp(x), w); },
+                              {x});
 }
 
 TEST(OpsGradTest, LayerNorm) {
@@ -123,9 +131,9 @@ TEST(OpsGradTest, LayerNorm) {
   Tensor gamma = RandomTensor({6}, &rng, 0.5f, 1.5f);
   Tensor beta = RandomTensor({6}, &rng);
   Tensor w = RandomTensor({3, 6}, &rng);
-  ExpectGradientsMatch(
+  GradientChecker(1e-2f, 3e-2f).CheckTape(
       [&] { return WeightedSum(LayerNormOp(x, gamma, beta), w); },
-      {x, gamma, beta}, 1e-2f, 3e-2f);
+      {x, gamma, beta});
 }
 
 TEST(OpsGradTest, LayerNormForwardNormalizes) {
@@ -147,7 +155,7 @@ TEST(OpsGradTest, EmbeddingLookup) {
   Tensor weight = RandomTensor({5, 3}, &rng);
   std::vector<int> ids = {0, 2, 2, 4};  // Repeats exercise scatter-add.
   Tensor w = RandomTensor({4, 3}, &rng);
-  ExpectGradientsMatch(
+  GradientChecker().CheckTape(
       [&] { return WeightedSum(EmbeddingLookup(weight, ids), w); }, {weight});
 }
 
@@ -163,8 +171,8 @@ TEST(OpsGradTest, ConcatCols) {
   Rng rng(15);
   Tensor a = RandomTensor({3, 2}, &rng), b = RandomTensor({3, 4}, &rng);
   Tensor w = RandomTensor({3, 6}, &rng);
-  ExpectGradientsMatch([&] { return WeightedSum(ConcatCols(a, b), w); },
-                       {a, b});
+  GradientChecker().CheckTape(
+      [&] { return WeightedSum(ConcatCols(a, b), w); }, {a, b});
 }
 
 TEST(OpsGradTest, ConcatRows) {
@@ -172,7 +180,7 @@ TEST(OpsGradTest, ConcatRows) {
   Tensor a = RandomTensor({2, 3}, &rng), b = RandomTensor({1, 3}, &rng),
          c = RandomTensor({3, 3}, &rng);
   Tensor w = RandomTensor({6, 3}, &rng);
-  ExpectGradientsMatch(
+  GradientChecker().CheckTape(
       [&] { return WeightedSum(ConcatRows({a, b, c}), w); }, {a, b, c});
 }
 
@@ -181,8 +189,8 @@ TEST(OpsGradTest, SelectRows) {
   Tensor x = RandomTensor({5, 3}, &rng);
   std::vector<int> rows = {4, 1, 1};
   Tensor w = RandomTensor({3, 3}, &rng);
-  ExpectGradientsMatch([&] { return WeightedSum(SelectRows(x, rows), w); },
-                       {x});
+  GradientChecker().CheckTape(
+      [&] { return WeightedSum(SelectRows(x, rows), w); }, {x});
 }
 
 TEST(OpsGradTest, RowsMean) {
@@ -190,7 +198,8 @@ TEST(OpsGradTest, RowsMean) {
   Tensor x = RandomTensor({4, 3}, &rng);
   std::vector<int> rows = {0, 2, 3};
   Tensor w = RandomTensor({1, 3}, &rng);
-  ExpectGradientsMatch([&] { return WeightedSum(RowsMean(x, rows), w); }, {x});
+  GradientChecker().CheckTape([&] { return WeightedSum(RowsMean(x, rows), w); },
+                              {x});
 }
 
 TEST(OpsGradTest, BagMean) {
@@ -198,7 +207,7 @@ TEST(OpsGradTest, BagMean) {
   Tensor weight = RandomTensor({6, 3}, &rng);
   std::vector<std::vector<int>> bags = {{0, 1, 1}, {}, {5}, {2, 3, 4, 5}};
   Tensor w = RandomTensor({4, 3}, &rng);
-  ExpectGradientsMatch(
+  GradientChecker().CheckTape(
       [&] { return WeightedSum(BagMean(weight, bags), w); }, {weight});
 }
 
@@ -215,8 +224,8 @@ TEST(OpsGradTest, SoftmaxRows) {
   Rng rng(19);
   Tensor x = RandomTensor({3, 4}, &rng);
   Tensor w = RandomTensor({3, 4}, &rng);
-  ExpectGradientsMatch([&] { return WeightedSum(SoftmaxRows(x), w); }, {x},
-                       1e-2f, 3e-2f);
+  GradientChecker(1e-2f, 3e-2f).CheckTape(
+      [&] { return WeightedSum(SoftmaxRows(x), w); }, {x});
 }
 
 TEST(OpsGradTest, SoftmaxRowsSumToOne) {
@@ -241,9 +250,9 @@ TEST(OpsGradTest, MultiHeadAttentionUnmasked) {
          v = RandomTensor({n, d}, &rng);
   Tensor w = RandomTensor({n, d}, &rng);
   auto mask = NoMask(n);
-  ExpectGradientsMatch(
+  GradientChecker(1e-2f, 3e-2f).CheckTape(
       [&] { return WeightedSum(MultiHeadAttention(q, k, v, mask, 2), w); },
-      {q, k, v}, 1e-2f, 3e-2f);
+      {q, k, v});
 }
 
 TEST(OpsGradTest, MultiHeadAttentionMasked) {
@@ -260,9 +269,9 @@ TEST(OpsGradTest, MultiHeadAttentionMasked) {
       if (!same_block) mask[size_t(i * n + j)] = -1e9f;
     }
   }
-  ExpectGradientsMatch(
+  GradientChecker(1e-2f, 3e-2f).CheckTape(
       [&] { return WeightedSum(MultiHeadAttention(q, k, v, mask, 2), w); },
-      {q, k, v}, 1e-2f, 3e-2f);
+      {q, k, v});
 }
 
 TEST(OpsGradTest, MaskedAttentionIgnoresInvisibleElements) {
@@ -287,17 +296,16 @@ TEST(OpsGradTest, SoftmaxCrossEntropy) {
   Rng rng(24);
   Tensor logits = RandomTensor({4, 5}, &rng);
   std::vector<int> targets = {1, 0, 4, 2};
-  ExpectGradientsMatch([&] { return SoftmaxCrossEntropy(logits, targets); },
-                       {logits}, 1e-2f, 3e-2f);
+  GradientChecker(1e-2f, 3e-2f).CheckTape(
+      [&] { return SoftmaxCrossEntropy(logits, targets); }, {logits});
 }
 
 TEST(OpsGradTest, SoftmaxCrossEntropyIgnoreIndex) {
   Rng rng(25);
   Tensor logits = RandomTensor({4, 3}, &rng);
   std::vector<int> targets = {1, -1, 2, -1};
-  ExpectGradientsMatch(
-      [&] { return SoftmaxCrossEntropy(logits, targets, -1); }, {logits},
-      1e-2f, 3e-2f);
+  GradientChecker(1e-2f, 3e-2f).CheckTape(
+      [&] { return SoftmaxCrossEntropy(logits, targets, -1); }, {logits});
 }
 
 TEST(OpsGradTest, SoftmaxCrossEntropyAllIgnoredIsZero) {
@@ -319,8 +327,8 @@ TEST(OpsGradTest, BceWithLogits) {
   Rng rng(27);
   Tensor logits = RandomTensor({3, 2}, &rng, -2.f, 2.f);
   std::vector<float> targets = {1.f, 0.f, 0.f, 1.f, 1.f, 0.f};
-  ExpectGradientsMatch([&] { return BceWithLogits(logits, targets); },
-                       {logits}, 1e-2f, 3e-2f);
+  GradientChecker(1e-2f, 3e-2f).CheckTape(
+      [&] { return BceWithLogits(logits, targets); }, {logits});
 }
 
 TEST(OpsGradTest, BceWithLogitsValueAtZero) {
@@ -333,8 +341,8 @@ TEST(OpsGradTest, BceWithLogitsValueAtZero) {
 TEST(OpsGradTest, SumAllAndMeanAll) {
   Rng rng(28);
   Tensor x = RandomTensor({2, 3}, &rng);
-  ExpectGradientsMatch([&] { return SumAll(x); }, {x});
-  ExpectGradientsMatch([&] { return MeanAll(x); }, {x});
+  GradientChecker().CheckTape([&] { return SumAll(x); }, {x});
+  GradientChecker().CheckTape([&] { return MeanAll(x); }, {x});
   EXPECT_NEAR(MeanAll(x).item(), SumAll(x).item() / 6.f, 1e-5f);
 }
 
@@ -383,13 +391,13 @@ TEST(OpsGradTest, CompositeMlpGraph) {
   Tensor w1 = RandomTensor({4, 5}, &rng), b1 = RandomTensor({5}, &rng);
   Tensor w2 = RandomTensor({5, 3}, &rng), b2 = RandomTensor({3}, &rng);
   std::vector<int> targets = {2, 0};
-  ExpectGradientsMatch(
+  GradientChecker(1e-2f, 3e-2f).CheckTape(
       [&] {
         Tensor h = Gelu(AddBias(MatMul(x, w1), b1));
         Tensor logits = AddBias(MatMul(h, w2), b2);
         return SoftmaxCrossEntropy(logits, targets);
       },
-      {x, w1, b1, w2, b2}, 1e-2f, 3e-2f);
+      {x, w1, b1, w2, b2});
 }
 
 }  // namespace

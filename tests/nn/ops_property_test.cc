@@ -12,7 +12,7 @@ namespace turl {
 namespace nn {
 namespace {
 
-using testing_util::ExpectGradientsMatch;
+using testing::GradientChecker;
 
 Tensor RandomTensor(Shape shape, Rng* rng, float lo = -1.f, float hi = 1.f) {
   return Tensor::Random(std::move(shape), *rng, lo, hi);
@@ -29,9 +29,8 @@ TEST_P(ElementwiseShapeSweep, ChainGradients) {
   Rng rng{uint64_t(seed)};
   Tensor a = RandomTensor({rows, cols}, &rng);
   Tensor b = RandomTensor({rows, cols}, &rng);
-  ExpectGradientsMatch(
-      [&] { return SumAll(Mul(TanhOp(Add(a, b)), Sub(a, b))); }, {a, b},
-      1e-2f, 4e-2f);
+  GradientChecker(1e-2f, 4e-2f).CheckTape(
+      [&] { return SumAll(Mul(TanhOp(Add(a, b)), Sub(a, b))); }, {a, b});
 }
 
 INSTANTIATE_TEST_SUITE_P(
@@ -51,7 +50,8 @@ TEST_P(MatMulShapeSweep, Gradients) {
   Tensor a = RandomTensor({m, k}, &rng);
   Tensor b = RandomTensor({k, n}, &rng);
   Tensor w = RandomTensor({m, n}, &rng);
-  ExpectGradientsMatch([&] { return SumAll(Mul(MatMul(a, b), w)); }, {a, b});
+  GradientChecker().CheckTape([&] { return SumAll(Mul(MatMul(a, b), w)); },
+                              {a, b});
 }
 
 TEST_P(MatMulShapeSweep, IdentityRightIsNoop) {
@@ -186,9 +186,9 @@ TEST_P(AttentionSeedSweep, Gradients) {
       if (i != j && rng.Bernoulli(0.4)) mask[size_t(i * n + j)] = -1e9f;
     }
   }
-  ExpectGradientsMatch(
+  GradientChecker(1e-2f, 4e-2f).CheckTape(
       [&] { return SumAll(Mul(MultiHeadAttention(q, k, v, mask, 3), w)); },
-      {q, k, v}, 1e-2f, 4e-2f);
+      {q, k, v});
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, AttentionSeedSweep,
